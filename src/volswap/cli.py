@@ -79,14 +79,19 @@ def _emit(args, params: dict, header: list[str], rows: list[list]) -> None:
         writer(sys.stdout, params, header, rows)
 
 
+# Model defaults of the flags below; ``reproduce`` builds its instances on them.
+_MODEL_DEFAULTS = dict(s0=2.0, mu=0.6, sigma=0.05, kappa=0.5, n_obs=252, horizon=1.0, t1=0.0)
+
+
 def _model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--S0", type=float, default=2.0, dest="s0")
-    p.add_argument("--mu", type=float, default=0.6)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--N", type=int, default=252, dest="n_obs")
-    p.add_argument("--T", type=float, default=1.0, dest="horizon")
-    p.add_argument("--t1", type=float, default=0.0)
+    d = _MODEL_DEFAULTS
+    p.add_argument("--S0", type=float, default=d["s0"], dest="s0")
+    p.add_argument("--mu", type=float, default=d["mu"])
+    p.add_argument("--sigma", type=float, default=d["sigma"])
+    p.add_argument("--kappa", type=float, default=d["kappa"])
+    p.add_argument("--N", type=int, default=d["n_obs"], dest="n_obs")
+    p.add_argument("--T", type=float, default=d["horizon"], dest="horizon")
+    p.add_argument("--t1", type=float, default=d["t1"])
     p.add_argument("--terms", type=int, default=rvdist.DEFAULT_K_PRICING,
                    help="Laguerre truncation order K")
 
@@ -97,10 +102,13 @@ def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key=value defaults file")
 
 
-def _moments(args):
-    params = SchwartzParams(s0=args.s0, mu=args.mu, sigma=args.sigma, kappa=args.kappa)
-    schedule = Schedule(t1=args.t1, horizon=args.horizon, n_obs=args.n_obs)
-    return params, schedule, return_moments(params, schedule)
+def _moments(args=None, independent_increments=False, **model):
+    """Params, schedule and return moments at the model flags of ``args``
+    (their defaults without ``args``); keywords override single values."""
+    m = {k: getattr(args, k, v) for k, v in _MODEL_DEFAULTS.items()} | model
+    params = SchwartzParams(s0=m["s0"], mu=m["mu"], sigma=m["sigma"], kappa=m["kappa"])
+    schedule = Schedule(t1=m["t1"], horizon=m["horizon"], n_obs=m["n_obs"])
+    return params, schedule, return_moments(params, schedule, independent_increments)
 
 
 # --------------------------------------------------------------------------
@@ -111,9 +119,12 @@ def cmd_price(args) -> int:
     contract = args.contract
     rho = 0.5 if contract.startswith("vol") else 1.0
     meta = {"command": "price", "contract": contract, "method": args.method}
+    # Closed-form swap quotes take --c/--eta/--sigma-n instead of the model.
+    needs_model = args.method == "laguerre" or contract.endswith("call") or args.validate_mc
+    params, schedule, rm = _moments(args) if needs_model else (None, None, None)
 
     if contract in ("vol-swap", "var-swap"):
-        quote = _price_swap(args, contract)
+        quote = _price_swap(args, contract, rm)
         record = {
             "contract": contract,
             "method": quote.method.value,
@@ -122,7 +133,7 @@ def cmd_price(args) -> int:
             "bound": quote.error_bound,
         }
     else:  # vol-call / var-call
-        price = _price_call(args, contract)
+        price = _price_call(args, contract, rm)
         record = {
             "contract": contract,
             "method": args.method,
@@ -134,8 +145,6 @@ def cmd_price(args) -> int:
     header = ["contract", "method", "value", "terms", "bound"]
     row = [record[h] if record[h] is not None else "" for h in header]
     if args.validate_mc:
-        params = SchwartzParams(s0=args.s0, mu=args.mu, sigma=args.sigma, kappa=args.kappa)
-        schedule = Schedule(t1=args.t1, horizon=args.horizon, n_obs=args.n_obs)
         cfg = mc.McConfig(n_paths=args.validate_mc, seed=args.seed, n_streams=args.streams)
         samples = mc.simulate_rv(params, schedule, cfg)
         if contract.endswith("swap"):
@@ -169,10 +178,9 @@ def _require(args, *names) -> None:
         raise DomainError(f"method {args.method!r} requires {flags}")
 
 
-def _price_swap(args, contract) -> swaps.SwapQuote:
+def _price_swap(args, contract, rm) -> swaps.SwapQuote:
     method = args.method
     if method == "laguerre":
-        _, _, rm = _moments(args)
         cfg = rvdist.ExpansionConfig.defaults(rm, k_max=args.terms)
         return swaps.vol_swap_tv(rm, cfg) if contract == "vol-swap" else swaps.var_swap_tv(rm, cfg)
     if method == "const-c":
@@ -190,7 +198,7 @@ def _price_swap(args, contract) -> swaps.SwapQuote:
     raise DomainError(f"unknown method {method!r}")
 
 
-def _price_call(args, contract):
+def _price_call(args, contract, rm):
     if args.strike is None:
         raise DomainError("--strike is required for option contracts")
     rho = 0.5 if contract == "vol-call" else 1.0
@@ -199,10 +207,8 @@ def _price_call(args, contract):
         discount=args.discount, k_terms=args.k_terms,
     )
     if args.method == "ncchi":
-        _, _, rm = _moments(args)
         mp = options.NcchiMoments(rm.eta, rm.lambda_bar, rm.sigma_N, args.sigma, args.horizon)
     else:
-        _, _, rm = _moments(args)
         cfg = rvdist.ExpansionConfig.defaults(rm, k_max=args.terms)
         mp = options.LaguerreMoments(rm, cfg)
     return options.call_price(spec, mp)
@@ -240,23 +246,22 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def cmd_bound_table(args) -> int:
-    kappas = _parse_floats(args.kappas)
-    sigmas = _parse_floats(args.sigmas)
-    ks = [int(k) for k in _parse_floats(args.Ks)]
+def _bound_rows(args, kappas, ks, sigmas, ell, independent_increments) -> list[list]:
+    """[kappa, K, sigma, truncation bound] over the grid, in that order."""
     rows = []
     for kappa in kappas:
         for K in ks:
             for sigma in sigmas:
-                params = SchwartzParams(s0=args.s0, mu=args.mu, sigma=sigma, kappa=kappa)
-                schedule = Schedule(t1=args.t1, horizon=args.horizon, n_obs=args.n_obs)
-                rm = return_moments(
-                    params, schedule,
-                    independent_increments=not args.spectral,
-                )
+                _, _, rm = _moments(args, independent_increments, sigma=sigma, kappa=kappa)
                 cfg = rvdist.ExpansionConfig.defaults(rm, k_max=K)
-                bound = rvdist.truncation_bound(rm, cfg, args.ell, K)
-                rows.append([kappa, K, sigma, bound])
+                rows.append([kappa, K, sigma, rvdist.truncation_bound(rm, cfg, ell, K)])
+    return rows
+
+
+def cmd_bound_table(args) -> int:
+    ks = [int(k) for k in _parse_floats(args.Ks)]
+    rows = _bound_rows(args, _parse_floats(args.kappas), ks, _parse_floats(args.sigmas),
+                       args.ell, not args.spectral)
     meta = {"command": "bound-table", "ell": args.ell, "kappas": args.kappas,
             "sigmas": args.sigmas, "Ks": args.Ks,
             "spectral": args.spectral} | _model_meta(args)
@@ -300,19 +305,13 @@ def cmd_reproduce(args) -> int:
         raise
 
 
-def _rm_for(s0, mu, sigma, kappa, n_obs, T=1.0, t1=0.0):
-    params = SchwartzParams(s0=s0, mu=mu, sigma=sigma, kappa=kappa)
-    schedule = Schedule(t1=t1, horizon=T, n_obs=n_obs)
-    return params, schedule, return_moments(params, schedule)
-
-
 def _reproduce_fig1(args, write) -> None:
     """Density shapes across observation counts at sigma = 0.1."""
     ns = [2, 3, 4, 5, 7, 10, 15, 22]
     curves = {}
     mean_max = 0.0
     for n in ns:
-        _, _, rm = _rm_for(2.0, 0.6, 0.1, 0.5, n)
+        _, _, rm = _moments(sigma=0.1, kappa=0.5, n_obs=n)
         cfg = rvdist.ExpansionConfig.defaults(rm, k_max=rvdist.DEFAULT_K_PDF)
         curves[n] = (rm, cfg, rvdist.coeffs(rm, cfg))
         mean_max = max(mean_max, float(np.sum(rm.alpha_bar * (1 + rm.delta_bar))))
@@ -328,7 +327,7 @@ def _reproduce_fig2(args, write) -> None:
     """Series density vs MC histogram at N in {52, 252}, sigma in {0.08, 0.10}."""
     for n_obs in (52, 252):
         for sigma in (0.08, 0.10):
-            params, schedule, rm = _rm_for(2.0, 0.6, sigma, 0.5, n_obs)
+            params, schedule, rm = _moments(sigma=sigma, kappa=0.5, n_obs=n_obs)
             cfg = rvdist.ExpansionConfig.defaults(rm, k_max=rvdist.DEFAULT_K_PDF)
             co = rvdist.coeffs(rm, cfg)
             samples = mc.simulate_rv(params, schedule, mc.McConfig(args.paths, args.seed))
@@ -348,7 +347,7 @@ def _reproduce_fig3(args, write) -> None:
     rows = []
     path_grid = [int(round(x)) for x in np.logspace(3, 5, 9)]
     for kappa in (0.5, 1.5, 3.0):
-        params, schedule, rm = _rm_for(2.0, 0.6, args.sigma, kappa, 252)
+        params, schedule, rm = _moments(sigma=args.sigma, kappa=kappa, n_obs=252)
         analytic = swaps.vol_swap_tv(rm).strike
         for n_paths in path_grid:
             samples = mc.simulate_rv(params, schedule, mc.McConfig(n_paths, args.seed))
@@ -358,45 +357,34 @@ def _reproduce_fig3(args, write) -> None:
           ["kappa", "n_paths", "mc_mean", "mc_se", "analytic"], rows)
 
 
-def _sweep(write, name, meta, sweep_rows) -> None:
-    write(name, meta, ["kappa", "sigma", "N", "contract", "analytic", "mc_mean", "mc_se"],
-          sweep_rows)
+def _swap_sweep(args, write, name, meta, points) -> None:
+    """Analytic vs MC strikes at each (kappa, sigma, N) point."""
+    rows = []
+    for kappa, sigma, n_obs in points:
+        params, schedule, rm = _moments(sigma=sigma, kappa=kappa, n_obs=n_obs)
+        samples = mc.simulate_rv(params, schedule, mc.McConfig(args.paths, args.seed))
+        for contract, rho, quote in (
+            ("vol-swap", 0.5, swaps.vol_swap_tv(rm)),
+            ("var-swap", 1.0, swaps.var_swap_tv(rm)),
+        ):
+            est = mc.estimate_swap(samples, rho)
+            rows.append([kappa, sigma, n_obs, contract, quote.strike, est.mean, est.std_error])
+    write(name, meta | {"seed": args.seed, "n_paths": args.paths},
+          ["kappa", "sigma", "N", "contract", "analytic", "mc_mean", "mc_se"], rows)
 
 
 def _reproduce_fig4(args, write) -> None:
     """Analytic vs MC strikes swept over sigma at N = 52."""
-    rows = []
-    for kappa in (0.5, 1.5, 3.0):
-        for sigma in np.linspace(0.005, 0.1, 10):
-            params, schedule, rm = _rm_for(2.0, 0.6, float(sigma), kappa, 52)
-            samples = mc.simulate_rv(params, schedule, mc.McConfig(args.paths, args.seed))
-            for contract, rho, quote in (
-                ("vol-swap", 0.5, swaps.vol_swap_tv(rm)),
-                ("var-swap", 1.0, swaps.var_swap_tv(rm)),
-            ):
-                est = mc.estimate_swap(samples, rho)
-                rows.append([kappa, float(sigma), 52, contract, quote.strike,
-                             est.mean, est.std_error])
-    _sweep(write, "fig4.csv",
-           {"target": "fig4", "N": 52, "seed": args.seed, "n_paths": args.paths}, rows)
+    points = [(kappa, float(sigma), 52)
+              for kappa in (0.5, 1.5, 3.0) for sigma in np.linspace(0.005, 0.1, 10)]
+    _swap_sweep(args, write, "fig4.csv", {"target": "fig4", "N": 52}, points)
 
 
 def _reproduce_fig5(args, write) -> None:
     """Analytic vs MC strikes swept over observation count at kappa = 0.5."""
-    rows = []
-    for sigma in (0.05, 0.06, 0.07):
-        for n_obs in (2, 13, 52, 126, 252):
-            params, schedule, rm = _rm_for(2.0, 0.6, sigma, 0.5, n_obs)
-            samples = mc.simulate_rv(params, schedule, mc.McConfig(args.paths, args.seed))
-            for contract, rho, quote in (
-                ("vol-swap", 0.5, swaps.vol_swap_tv(rm)),
-                ("var-swap", 1.0, swaps.var_swap_tv(rm)),
-            ):
-                est = mc.estimate_swap(samples, rho)
-                rows.append([0.5, sigma, n_obs, contract, quote.strike,
-                             est.mean, est.std_error])
-    _sweep(write, "fig5.csv",
-           {"target": "fig5", "kappa": 0.5, "seed": args.seed, "n_paths": args.paths}, rows)
+    points = [(0.5, sigma, n_obs)
+              for sigma in (0.05, 0.06, 0.07) for n_obs in (2, 13, 52, 126, 252)]
+    _swap_sweep(args, write, "fig5.csv", {"target": "fig5", "kappa": 0.5}, points)
 
 
 def _reproduce_table1(args, write) -> None:
@@ -405,16 +393,8 @@ def _reproduce_table1(args, write) -> None:
     Uses the independence idealization for the chi-square weights, matching
     the pipeline behind the reference table.
     """
-    rows = []
-    for kappa in (0.5, 1.5, 3.0):
-        for K in range(4):
-            for sigma in (0.05, 0.06, 0.07, 0.08, 0.09, 0.10):
-                params = SchwartzParams(s0=2.0, mu=0.6, sigma=sigma, kappa=kappa)
-                schedule = Schedule(t1=0.0, horizon=1.0, n_obs=252)
-                rm = return_moments(params, schedule, independent_increments=True)
-                cfg = rvdist.ExpansionConfig.defaults(rm, k_max=K)
-                rows.append([kappa, K, sigma,
-                             rvdist.truncation_bound(rm, cfg, 0.5, K)])
+    rows = _bound_rows(None, (0.5, 1.5, 3.0), range(4),
+                       (0.05, 0.06, 0.07, 0.08, 0.09, 0.10), 0.5, True)
     write("table1.csv", {"target": "table1", "N": 252, "ell": 0.5},
           ["kappa", "K", "sigma", "bound"], rows)
 

@@ -15,12 +15,15 @@ noncentralities from the rotated means), not the per-interval variances.
 per-interval variances directly, which treats the returns as independent and
 only matches the true distribution through its mean.
 
-The log price is Markov, so the inverse of its grid covariance is
-tridiagonal; the return-covariance eigenproblem therefore reduces to a
-symmetric tridiagonal one (solved in O(n^2)) instead of a dense O(n^3)
-decomposition.  Eigenvalues (the chi-square weights) are computed eagerly
-and cheaply; eigenvectors are only needed for the noncentralities, which
-are materialized lazily on first access to ``delta_bar``.
+No n x n matrix is ever formed.  The log price is Markov, so the inverse of
+its grid covariance is tridiagonal and the eigenproblem reduces to a
+symmetric tridiagonal one: the eigenvalues (the chi-square weights) come
+from an O(n^2) QR sweep without eigenvectors, and the eigenvectors, needed
+only for the noncentralities, are materialized lazily on first access to
+``delta_bar``.  The return covariance itself is rank-1 semiseparable, so a
+product with it costs O(n) time and memory; the quadratic forms that drive
+the series coefficients (``ReturnMoments.mean_forms``) use only such
+products.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dsterf
+from scipy.linalg.lapack import dsterf, dtbtrs
 
 from .errors import DegenerateInterval, DomainError
 
@@ -125,6 +128,37 @@ class Schedule:
 
 
 @dataclass(frozen=True)
+class _ReturnCovariance:
+    """Covariance Sigma of the log returns, in natural units, stored in O(n).
+
+    The diagonal is ``var_bar``; for i > j the entries are
+    Cov(r_i, r_j) = -b_j phi^(i-j-1), a rank-1 semiseparable part with
+    phi = e^{-kappa dt} and b_j = (1 - phi)(v_j - phi v_{j-1}) (v the OU
+    variance at tau_j).  ``b=None`` means independent returns (diagonal).
+    """
+
+    var_bar: np.ndarray
+    phi: float = 0.0
+    b: Optional[np.ndarray] = None
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.var_bar * x
+        if self.b is None:
+            return y
+        # u_i = sum_{j<=i} phi^(i-j) b_j x_j and w_i = sum_{j>=i} phi^(j-i) x_j
+        # are first-order recursions, solved as unit-bidiagonal systems: stable
+        # for 0 <= phi < 1, with no e^{+-kappa tau} scaling to overflow.
+        ab = np.zeros((2, x.size), order="F")
+        ab[1, :-1] = -self.phi
+        u = dtbtrs(ab, (self.b * x)[:, None], uplo="L", diag="U")[0][:, 0]
+        w = dtbtrs(ab, x[:, None], uplo="L", trans="T", diag="U")[0][:, 0]
+        # (Sigma x)_i = var_bar_i x_i - u_{i-1} - b_i w_{i+1}
+        y[1:] -= u[:-1]
+        y[:-1] -= self.b[:-1] * w[1:]
+        return y
+
+
+@dataclass(frozen=True)
 class ReturnMoments:
     """Chi-square representation of realized variance, plus reductions.
 
@@ -139,16 +173,17 @@ class ReturnMoments:
     mu_bar, var_bar : ndarray
         Mean and variance of each log return ln(S_{t_i}/S_{t_{i-1}})
         (per-interval statistics, kept for the constant-regime reductions
-        and reporting).
+        and reporting); ``var_bar`` is the diagonal of the O(n) return
+        covariance that ``mean_forms`` multiplies by.
     alpha_bar : ndarray
         Chi-square weights, in annualized variance points (x 100^2/T),
         largest first for spectral instances.
     delta_bar : ndarray
         Noncentralities paired with ``alpha_bar`` (lazily materialized for
         spectral instances: they require eigenvectors, the weights do not).
-    nu, eta : int
-        Degrees of freedom N-1 (identical; eta names the constant-regime
-        reduction).
+    nu : int
+        Degrees of freedom N-1; the read-only ``eta`` is the same number
+        under the name of the constant-regime reduction.
     lambda_bar : float
         Constant-regime noncentrality sum(mu_bar^2)/sigma_N^2.
     sigma_N : float
@@ -158,10 +193,9 @@ class ReturnMoments:
     """
 
     mu_bar: np.ndarray = field(repr=False)
-    var_bar: np.ndarray = field(repr=False)
     alpha_bar: np.ndarray = field(repr=False)
+    _cov: _ReturnCovariance = field(repr=False, compare=False)
     nu: int = 0
-    eta: int = 0
     lambda_bar: float = 0.0
     sigma_N: float = 0.0
     horizon: float = 1.0
@@ -169,14 +203,20 @@ class ReturnMoments:
     _delta_fn: Optional[Callable[[], np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
-    _cov_weights: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _sum_delta: Optional[float] = field(default=None, repr=False, compare=False)
 
     @property
     def delta_bar(self) -> np.ndarray:
         if self._delta_bar is None:
             object.__setattr__(self, "_delta_bar", self._delta_fn())
         return self._delta_bar
+
+    @property
+    def var_bar(self) -> np.ndarray:
+        return self._cov.var_bar
+
+    @property
+    def eta(self) -> int:
+        return self.nu
 
     @property
     def n_obs(self) -> int:
@@ -193,42 +233,22 @@ class ReturnMoments:
         for spectral instances (the noncentral part is a quadratic form)."""
         return float(np.sum(self.alpha_bar)) + float(self.mean_forms(1, 1.0)[0])
 
-    def sum_delta(self) -> float:
-        """sum_i delta_bar_i, without materializing eigenvectors when the
-        instance carries its spectral covariance (it is a quadratic form
-        with the inverse covariance)."""
-        if self._sum_delta is not None:
-            return self._sum_delta
-        return float(np.sum(self.delta_bar))
-
     def mean_forms(self, count: int, beta_bar: float) -> np.ndarray:
         """The weighted sums U_m = sum_i delta_bar_i alpha_bar_i xi_i^m for
         m = 0..count-1, with xi_i = 1 - alpha_bar_i/beta_bar.
 
-        For spectral instances this is the quadratic form
-        mu_bar^T (I - A/beta_bar)^m mu_bar with A the return covariance in
-        weight units -- eigenvectors are never needed.
+        They equal the quadratic forms w mu_bar^T (I - w Sigma/beta_bar)^m mu_bar
+        with w = 100^2/T and Sigma the return covariance, so each order costs
+        one O(n) product and eigenvectors are never needed.
         """
-        if count < 1:
-            return np.zeros(0)
-        if self._cov_weights is not None:
-            a = self._cov_weights
-            out = np.empty(count)
-            v = self.mu_bar.copy()
-            for m in range(count):
-                out[m] = float(self.mu_bar @ v)
-                if m + 1 < count:
-                    v = v - (a @ v) / beta_bar
-            # A carries the x100^2/T weight scaling; mu_bar does not.
-            return (100.0**2 / self.horizon) * out
-        xi = 1.0 - self.alpha_bar / beta_bar
-        da = self.delta_bar * self.alpha_bar
-        out = np.empty(count)
-        xi_pow = np.ones_like(xi)
+        w = 100.0**2 / self.horizon
+        out = np.empty(max(count, 0))
+        v = self.mu_bar
         for m in range(count):
-            out[m] = float(np.sum(da * xi_pow))
-            xi_pow = xi_pow * xi
-        return out
+            if m:
+                v = v - (w / beta_bar) * (self._cov @ v)
+            out[m] = float(self.mu_bar @ v)
+        return w * out
 
 
 def ou_mean(params: SchwartzParams, x0: float, t: float) -> float:
@@ -264,19 +284,11 @@ def _noncentralities(weights: np.ndarray, means_sq: np.ndarray) -> np.ndarray:
         return np.where(zero, 0.0, means_sq / np.where(zero, 1.0, weights))
 
 
-def _increment_covariance(var: np.ndarray, kappa: float, tau: np.ndarray) -> np.ndarray:
-    """Dense covariance matrix of the log returns (natural variance units)."""
-    cov_x = np.minimum.outer(var, var) * np.exp(
-        -kappa * np.abs(np.subtract.outer(tau, tau))
-    )
-    return cov_x[1:, 1:] - cov_x[1:, :-1] - cov_x[:-1, 1:] + cov_x[:-1, :-1]
-
-
 def _spectral_parts(
     phi: float, q: float, nu: int, mu_bar: np.ndarray
-) -> tuple[np.ndarray, Callable[[], np.ndarray], float]:
-    """Eigenvalues of the return covariance, a lazy noncentrality builder,
-    and sum_i delta_i, all through the tridiagonal reduction.
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Eigenvalues of the return covariance and a lazy noncentrality
+    builder, both through the tridiagonal reduction.
 
     The grid log prices Y (after the known start) form a Gauss-Markov chain
     with step coefficient phi = e^{-kappa dt} and innovation variance q, so
@@ -315,15 +327,7 @@ def _spectral_parts(
             delta = np.where(lam_f > 0.0, psi * proj**2 / lam_f**2, 0.0)
         return delta[::-1].copy()  # match the descending weight order
 
-    # sum delta = mu^T Sigma^{-1} mu with Sigma^{-1} = B^{-T} T B^{-1}:
-    # cumulative sums invert the difference map, all O(n).
-    y = np.cumsum(mu_bar)
-    ty = t_diag * y
-    ty[:-1] += t_off * y[1:]
-    ty[1:] += t_off * y[:-1]
-    x = np.cumsum(ty[::-1])[::-1]
-    sum_delta = float(mu_bar @ x)
-    return lam, delta_fn, sum_delta
+    return lam, delta_fn
 
 
 def return_moments(
@@ -367,9 +371,7 @@ def return_moments(
     nu = n - 1
     common = dict(
         mu_bar=mu_bar,
-        var_bar=var_bar,
         nu=nu,
-        eta=nu,
         lambda_bar=float(np.sum(mu_bar**2) / var_bar[-1]) if var_bar[-1] > 0 else 0.0,
         sigma_N=math.sqrt(var_bar[-1]),
         horizon=T,
@@ -378,17 +380,24 @@ def return_moments(
     if independent_increments or nu == 1:
         return ReturnMoments(
             alpha_bar=scale * var_bar,
+            _cov=_ReturnCovariance(var_bar),
             _delta_bar=_noncentralities(var_bar, mu_bar**2),
             **common,
         )
 
-    q = params.sigma**2 / (2.0 * kappa) * -math.expm1(-2.0 * kappa * dt)
-    lam, delta_fn, sum_delta = _spectral_parts(phi, q, nu, mu_bar)
+    s2 = params.sigma**2 / (2.0 * kappa)
+    q = s2 * -math.expm1(-2.0 * kappa * dt)
+    # v_j - phi v_{j-1} = s2 (1 - phi)(1 + phi^(2j-1)) without the cancellation
+    # of the difference.  The leading 1 - phi is taken from the rounded phi
+    # that var_bar was built with: the quadratic forms cancel between the
+    # diagonal and the off-diagonal part, so both must round alike (an exact
+    # 1 - phi there loses about two digits once kappa dt is near 1e-5).
+    a = s2 * -math.expm1(-kappa * dt) * (1.0 + phi ** np.arange(1.0, 2.0 * nu, 2.0))
+    lam, delta_fn = _spectral_parts(phi, q, nu, mu_bar)
     return ReturnMoments(
         alpha_bar=scale * lam,
+        _cov=_ReturnCovariance(var_bar, phi, (1.0 - phi) * a),
         _delta_fn=delta_fn,
-        _cov_weights=scale * _increment_covariance(var, kappa, tau),
-        _sum_delta=sum_delta,
         **common,
     )
 
@@ -418,10 +427,9 @@ def iid_return_moments(
     sigma_n = float(sigma_bar[-1])
     return ReturnMoments(
         mu_bar=mu_bar,
-        var_bar=var_bar,
         alpha_bar=(100.0**2 / horizon) * var_bar,
+        _cov=_ReturnCovariance(var_bar),
         nu=mu_bar.size,
-        eta=mu_bar.size,
         lambda_bar=float(np.sum(mu_bar**2) / var_bar[-1]) if var_bar[-1] > 0 else 0.0,
         sigma_N=sigma_n,
         horizon=horizon,

@@ -158,11 +158,6 @@ def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
     return ExpansionCoeffs(c=c, d=d, zeta=zeta, b0_bound=float(c[0]))
 
 
-def certified_zeta(rm: ReturnMoments, cfg: ExpansionConfig) -> float:
-    """Public precondition check; returns zeta < 1 or raises PreconditionError."""
-    return _check_bound_preconditions(rm, cfg)[2]
-
-
 def _check_bound_preconditions(
     rm: ReturnMoments, cfg: ExpansionConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -379,24 +374,6 @@ def _log_abs_poch(ell: float, k: int) -> float:
     return math.lgamma(k - ell) - math.lgamma(-ell)
 
 
-def _log_hyp_factor(p: float, ell: float, mu0: float, k: int) -> float:
-    """ln of Gamma(p+ell)/Gamma(p) |2F1(-k, p+ell; p; p/mu0)|, the moment
-    summand over (2 beta)^ell c_k, off the default shape center.
-
-    Reversing the terminating series gives (p/mu0)^k Gamma(ell+k+p)/Gamma(k+p)
-    |2F1(-k, 1-k-p; 1-k-p-ell; mu0/p)|, which is summed directly.
-    """
-    f21 = abs(gauss_2f1_terminating(k, 1.0 - k - p, 1.0 - k - p - ell, mu0 / p))
-    if f21 == 0.0:
-        return -math.inf
-    return (
-        k * math.log(p / mu0)
-        + log_gamma(ell + k + p)
-        - log_gamma(k + p)
-        + math.log(f21)
-    )
-
-
 def coeffs_hp(rm: ReturnMoments, cfg: ExpansionConfig, k_max: int, dps: int) -> list:
     """Expansion coefficients c_0..c_{k_max} in arbitrary-precision arithmetic.
 
@@ -504,39 +481,55 @@ def raw_moment_hp(
 def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int) -> float:
     """Rigorous bound on the tail |sum_{k>K} term_k| of the moment series.
 
-    ``B = (2 beta)^ell sum_{k>K} Gamma(p+ell)/Gamma(p) |2F1(-k, p+ell; p; p/mu0)|
-    b_k`` with b_k the :func:`coeff_bound` of |c_k|; requires a certified
-    zeta < 1.  At the default shape center the hypergeometric factor is
-    |(-ell)_k|/(p)_k (Chu-Vandermonde), so the tail vanishes exactly for
-    integer ell <= K.  The tail is summed in log space, in blocks of orders,
-    until the running term falls below 1e-16 of the accumulated sum (hard cap
-    1e5 terms); it returns inf once the sum exceeds the float range.
+    ``B = (2 beta)^ell sum_{k>K} Gamma(p+ell)/Gamma(p) |2F1(-k, p+ell; p; z)|
+    b_k`` with z = p/mu0 and b_k the :func:`coeff_bound` of |c_k|; requires
+    a certified zeta < 1 and ell > 0.  At the default shape center (z = 1)
+    the hypergeometric factor is |(-ell)_k|/(p)_k (Chu-Vandermonde), so the
+    tail vanishes exactly for integer ell <= K.  Off the center it is
+    replaced by the majorant (1+z)^k (p+ell)_k/(p)_k: by the triangle
+    inequality, since (p+ell)_m/(p)_m increases in m, and free of the
+    cancellation of the alternating sum; its summands decay like
+    ((1+z) zeta)^k, so the bound there is inf unless (1+z) zeta < 1.  The
+    tail is summed in log space, in blocks of orders, until the running term
+    falls below 1e-16 of the accumulated sum (hard cap 1e5 terms); it
+    returns inf once the sum exceeds the float range.
     """
     if K < 0:
         raise DomainError(f"truncation_bound requires K >= 0, got {K}")
+    if not ell > 0:
+        raise DomainError(f"truncation_bound requires ell > 0, got {ell}")
     maj = _majorant(rm, cfg)
     p = rm.nu / 2.0
     at_unit = cfg.mu0_bar == p
     if maj.constant or (at_unit and ell == int(ell) and K >= ell):
         return 0.0
     log_front = ell * math.log(2.0 * cfg.beta_bar)
+    # ln of the factor at order K+1; each later order adds ``step``.
     if at_unit:
+        decay = maj.zeta
         log_f_next = _log_abs_poch(ell, K + 1) + log_gamma(p + ell) - log_gamma(p + K + 1)
+    else:
+        z = p / cfg.mu0_bar
+        decay = (1.0 + z) * maj.zeta
+        if decay >= 1.0:
+            return math.inf
+        log_1pz = math.log1p(z)
+        log_f_next = (K + 1) * log_1pz + log_gamma(p + ell + K + 1) - log_gamma(p + K + 1)
     log_tail = -math.inf
-    # The summands decay like zeta^k, so a first block of about
-    # ln(1e16)/ln(1/zeta) orders usually holds the whole tail.
+    # The summands decay like decay^k, so a first block of about
+    # ln(1e16)/ln(1/decay) orders usually holds the whole tail.
     k0 = K + 1
-    size = 32 if maj.zeta == 0.0 else min(32 + int(40.0 / -math.log(maj.zeta)), 4096)
+    size = 32 if decay == 0.0 else min(32 + int(40.0 / -math.log(decay)), 4096)
     with np.errstate(divide="ignore"):
         while k0 <= _BOUND_TAIL_CAP:
             k = np.arange(k0, min(k0 + size, _BOUND_TAIL_CAP + 1), dtype=float)
             if at_unit:
                 # |(-ell)_{k+1}| / (p)_{k+1} = |(-ell)_k| / (p)_k * |k - ell| / (p + k)
                 step = np.log(np.abs(k - ell) / (p + k))
-                log_f = log_f_next + np.concatenate(([0.0], np.cumsum(step[:-1])))
-                log_f_next = float(log_f[-1] + step[-1])
             else:
-                log_f = np.array([_log_hyp_factor(p, ell, cfg.mu0_bar, int(j)) for j in k])
+                step = log_1pz + np.log((p + ell + k) / (p + k))
+            log_f = log_f_next + np.concatenate(([0.0], np.cumsum(step[:-1])))
+            log_f_next = float(log_f[-1] + step[-1])
             log_t = log_f + _log_coeff_bounds(maj, k)
             shift = max(log_tail, float(np.max(log_t)))
             t = np.exp(log_t - shift)

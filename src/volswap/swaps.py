@@ -16,7 +16,7 @@ in variance points (x100^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -97,27 +97,27 @@ def var_swap_tv(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None)
 
 def vol_swap_const_c(c: float, nu: float, T: float) -> SwapQuote:
     """Volatility-swap strike when every interval has common variance c:
-    ``sqrt(2 c / T) * Gamma((nu+1)/2)/Gamma(nu/2) * 100``.
+    ``sqrt(2 c / T) * Gamma((nu+1)/2)/Gamma(nu/2) * 100``, which is
+    :func:`vol_swap_central` with sigma_N = sqrt(c).
 
     ``c`` enters as a variance (per-interval log-return variance).
     """
     if not (c > 0 and nu > 0 and T > 0):
         raise DomainError("vol_swap_const_c requires c, nu, T > 0")
-    strike = math.sqrt(2.0 * c / T) * gamma_ratio((nu + 1.0) / 2.0, nu / 2.0) * 100.0
-    return SwapQuote(strike, Method.CONSTANT_C, terms_used=1)
+    return replace(vol_swap_central(nu, math.sqrt(c), T), method=Method.CONSTANT_C)
 
 
 def var_swap_const_c(c: float, nu: float, T: float) -> SwapQuote:
     """Variance-swap strike for common per-interval volatility c:
-    ``(2 c^2 / T) * Gamma(nu/2+1)/Gamma(nu/2) * 100^2 = (nu c^2 / T) * 100^2``.
+    ``(2 c^2 / T) * Gamma(nu/2+1)/Gamma(nu/2) * 100^2 = (nu c^2 / T) * 100^2``,
+    which is :func:`var_swap_ncchi` with sigma_N = c and lambda_bar = 0.
 
     Note the convention difference from :func:`vol_swap_const_c`, whose ``c``
     is a variance; here ``c`` plays the role of sigma_N and enters squared.
     """
     if not (c > 0 and nu > 0 and T > 0):
         raise DomainError("var_swap_const_c requires c, nu, T > 0")
-    strike = (2.0 * c**2 / T) * gamma_ratio(nu / 2.0 + 1.0, nu / 2.0) * 100.0**2
-    return SwapQuote(strike, Method.CONSTANT_C, terms_used=1)
+    return replace(var_swap_ncchi(nu, 0.0, c, T), method=Method.CONSTANT_C)
 
 
 def vol_swap_ncchi(eta: float, lambda_bar: float, sigma_N: float, T: float) -> SwapQuote:
@@ -146,9 +146,9 @@ def var_swap_ncchi(eta: float, lambda_bar: float, sigma_N: float, T: float) -> S
 
 
 def var_swap_central(eta: float, sigma_N: float, T: float) -> SwapQuote:
-    """Constant-regime, zero-drift variance-swap strike: ``sigma_N^2/T eta 100^2``."""
-    strike = sigma_N**2 / T * eta * 100.0**2
-    return SwapQuote(strike, Method.CENTRAL_CLOSED_FORM, terms_used=1)
+    """Constant-regime, zero-drift variance-swap strike: ``sigma_N^2/T eta 100^2``,
+    :func:`var_swap_ncchi` at lambda_bar = 0."""
+    return replace(var_swap_ncchi(eta, 0.0, sigma_N, T), method=Method.CENTRAL_CLOSED_FORM)
 
 
 def _require_constant_regime(rm: ReturnMoments) -> None:

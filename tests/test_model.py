@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,14 +156,19 @@ def test_nu_eta_and_sigma_n():
 # ---------------------------------------------------------------------------
 
 
-def _dense_oracle(p, sch):
+def _dense_cov(p, sch):
+    """Dense covariance matrix of the log returns (natural variance units)."""
     tau = sch.times - sch.t1
     var = np.array([ou_variance(p, t) for t in tau])
     cov_x = np.minimum.outer(var, var) * np.exp(
         -p.kappa * np.abs(np.subtract.outer(tau, tau))
     )
-    cov = cov_x[1:, 1:] - cov_x[1:, :-1] - cov_x[:-1, 1:] + cov_x[:-1, :-1]
-    lam, q_mat = np.linalg.eigh(cov)
+    return cov_x[1:, 1:] - cov_x[1:, :-1] - cov_x[:-1, 1:] + cov_x[:-1, :-1]
+
+
+def _dense_oracle(p, sch):
+    tau = sch.times - sch.t1
+    lam, q_mat = np.linalg.eigh(_dense_cov(p, sch))
     lam = np.maximum(lam[::-1], 0.0)
     proj = q_mat[:, ::-1].T @ np.diff(
         [ou_mean(p, p.x0, t) for t in tau]
@@ -180,16 +186,57 @@ def test_spectral_matches_dense(kappa, n_obs):
     assert np.allclose(rm.alpha_bar, a_ref, rtol=1e-9, atol=1e-12)
     # deltas pair with eigenvalues up to degenerate-subspace ordering
     assert np.allclose(np.sort(rm.delta_bar), np.sort(d_ref), atol=1e-8)
-    assert rm.sum_delta() == pytest.approx(float(d_ref.sum()), rel=1e-8, abs=1e-12)
+
+
+def _dense_mean_forms(cov, mu_bar, w, count, beta):
+    """U_m = w mu^T (I - w cov/beta)^m mu by dense matrix-vector products."""
+    out, v = [], mu_bar.copy()
+    for _ in range(count):
+        out.append(w * float(mu_bar @ v))
+        v = v - (w / beta) * (cov @ v)
+    return np.array(out)
 
 
 def test_mean_forms_matches_arrays():
+    # Definition: sum_i delta_bar_i alpha_bar_i xi_i^m from the eigenpairs.
     _, _, rm = make_instance(n_obs=52)
     beta = float(rm.alpha_bar.max())
     xi = 1.0 - rm.alpha_bar / beta
     da = rm.delta_bar * rm.alpha_bar
     ref = np.array([float(np.sum(da * xi**m)) for m in range(6)])
     assert np.allclose(rm.mean_forms(6, beta), ref, rtol=1e-8, atol=1e-12)
+    # The O(n) covariance products against the dense matrix, spectral and
+    # independent instances alike.
+    for n_obs in (2, 3, 52, 1000, 2000):
+        for kappa in (0.1, 5.0):
+            for sigma in (0.005, 0.2):
+                p, sch, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+                _, _, rm_iid = make_instance(
+                    sigma=sigma, kappa=kappa, n_obs=n_obs, independent_increments=True
+                )
+                w = 100.0**2 / sch.horizon
+                pairs = ((rm, _dense_cov(p, sch)), (rm_iid, np.diag(rm_iid.var_bar)))
+                for inst, cov in pairs:
+                    beta = float(inst.alpha_bar.max())
+                    got = inst.mean_forms(25, beta)
+                    ref = _dense_mean_forms(cov, inst.mu_bar, w, 25, beta)
+                    np.testing.assert_allclose(got, ref, rtol=1e-10)
+
+
+def test_swap_quotes_hold_no_dense_covariance():
+    # At N=5000 one dense n x n float matrix is 200 MB; the O(n) covariance
+    # and the eigenvalue-only reduction need a few vectors of length n.
+    from volswap import swaps
+
+    tracemalloc.start()
+    try:
+        _, _, rm = make_instance(sigma=0.05, kappa=1.5, n_obs=5000)
+        vol, var = swaps.vol_swap_tv(rm), swaps.var_swap_tv(rm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(vol.strike) and math.isfinite(var.strike)
+    assert peak < 20 * 2**20
 
 
 def test_rv_mean_unchanged_by_correlation():
@@ -208,12 +255,7 @@ def test_rv_variance_matrix_identity():
     # 2 tr(A^2) + 4 w mu' A mu, which knows nothing about eigenvectors.
     p, sch, rm = make_instance(n_obs=52)
     v_weights = 2 * float(np.sum(rm.alpha_bar**2 * (1 + 2 * rm.delta_bar)))
-    tau = sch.times - sch.t1
-    var = np.array([ou_variance(p, t) for t in tau])
-    cov_x = np.minimum.outer(var, var) * np.exp(
-        -p.kappa * np.abs(np.subtract.outer(tau, tau))
-    )
-    cov = cov_x[1:, 1:] - cov_x[1:, :-1] - cov_x[:-1, 1:] + cov_x[:-1, :-1]
+    cov = _dense_cov(p, sch)
     w = 100.0**2 / sch.horizon
     v_matrix = 2 * w**2 * float(np.sum(cov * cov)) + 4 * w * float(
         rm.mu_bar @ cov @ rm.mu_bar

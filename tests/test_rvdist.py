@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -358,6 +359,28 @@ def test_truncation_bound_covers_series_tail():
                 assert measured_tail(rm, ell, K) <= bound
 
 
+def test_truncation_bound_off_center_is_fast_and_covers_error():
+    # Off the default shape center the alternating 2F1 of the summand once
+    # cancelled catastrophically (no return within 20 s on the first
+    # instance); its majorant keeps each order O(1).
+    weighted = random_iid_instance(np.random.default_rng(7))  # zeta ~ 0.99
+    _, _, spectral = make_instance(sigma=0.2, kappa=0.1, n_obs=5)  # zeta ~ 0.1
+    for rm, finite in ((weighted, False), (spectral, True)):
+        exact = None
+        for mu0_scale in (1.6, 0.8):
+            for K in (0, 3, 10):
+                cfg = _cfg(rm, k_max=K, mu0_bar=mu0_scale * rm.nu / 2.0)
+                start = time.perf_counter()
+                bound = rvdist.truncation_bound(rm, cfg, 0.5, K)
+                assert time.perf_counter() - start < 1.0
+                assert math.isfinite(bound) == finite
+                if finite:
+                    if exact is None:
+                        exact = float(options.LaguerreMoments(rm).moment_hp(0.5, 60))
+                    value = rvdist.raw_moment(rm, cfg, rvdist.coeffs(rm, cfg), 0.5).value
+                    assert abs(value - exact) <= bound
+
+
 def test_truncation_bound_is_the_sum_of_coefficient_bounds():
     # scalar reference for the blocked log-space sum; the drift-dominated
     # instance (zeta ~ 0.86, S ~ 130) needs about 430 orders, more than a
@@ -421,6 +444,8 @@ def test_truncation_bound_validation(example_instance):
     cfg = _cfg(rm, k_max=3)
     with pytest.raises(DomainError):
         rvdist.truncation_bound(rm, cfg, 0.5, -1)
+    with pytest.raises(DomainError):
+        rvdist.truncation_bound(rm, cfg, 0.0, 3)
 
 
 # ---------------------------------------------------------------------------
