@@ -30,7 +30,7 @@ import mpmath as mpm
 from . import rvdist
 from .errors import DegenerateExponent, DomainError, InvalidConfig, NoConvergence
 from .model import ReturnMoments
-from .specfun import SeriesResult, kummer_1f1, log_gamma
+from .specfun import FLOAT, MPMATH, Arithmetic, SeriesResult, laguerre_polys
 
 __all__ = [
     "OptionSpec",
@@ -199,51 +199,49 @@ class NcchiMoments:
             ell, self.eta, self.lambda_bar, self.sigma_N, self.sigma, self.T
         )
 
-    def _scale_hp(self, ell):
-        return (mpm.mpf(100) ** 2 * mpm.mpf(self.sigma_N) ** 2 / mpm.mpf(self.T)) ** ell
-
     def moment_hp(self, ell: float, dps: int):
-        if not ell > 0:
-            raise DomainError(f"moment_hp requires ell > 0, got {ell}")
         with mpm.workdps(dps):
-            le = mpm.mpf(ell)
-            eta = mpm.mpf(self.eta)
-            lam = mpm.mpf(self.lambda_bar)
-            base = (
-                self._scale_hp(le)
-                * mpm.mpf(2) ** le
-                * mpm.gamma(le + eta / 2)
-                / mpm.gamma(eta / 2)
+            return _ncchi_moment(
+                MPMATH, ell, self.eta, self.lambda_bar, self.sigma_N, self.T
             )
-            if lam == 0:
-                return base
-            return base * mpm.exp(-lam / 2) * mpm.hyp1f1(le + eta / 2, eta / 2, lam / 2)
 
     def dmoment_dsigma_hp(self, ell: float, dps: int):
         with mpm.workdps(dps):
-            le = mpm.mpf(ell)
-            eta = mpm.mpf(self.eta)
-            lam = mpm.mpf(self.lambda_bar)
-            sig = mpm.mpf(self.sigma)
-            mom = self.moment_hp(ell, dps)
-            if lam == 0:
-                return 2 * le / sig * mom
-            extra = (
-                self._scale_hp(le)
-                * mpm.mpf(2) ** le
-                * mpm.gamma(1 + le + eta / 2)
-                / mpm.gamma(1 + eta / 2)
-                * lam
-                * mpm.exp(-lam / 2)
-                / sig
-                * mpm.hyp1f1(1 + le + eta / 2, 1 + eta / 2, lam / 2)
+            return _ncchi_moment_dsigma(
+                MPMATH, ell, self.eta, self.lambda_bar, self.sigma_N, self.sigma, self.T
             )
-            return (lam + 2 * le) / sig * mom - extra
 
 
-def _scaling(ell: float, sigma_N: float, T: float) -> float:
-    # RV = (100^2 sigma_N^2 / T) * W for W ~ chi2_eta(lambda)
-    return (100.0**2 * sigma_N**2 / T) ** ell
+def _scaled_gamma_ratio(ar: Arithmetic, ell, eta, sigma_N: float, T: float, shift: int):
+    """scaling^ell 2^ell Gamma(shift+ell+eta/2)/Gamma(shift+eta/2), where
+    RV = scaling W for W ~ chi2_eta(lambda), scaling = 100^2 sigma_N^2 / T."""
+    scaling = 100.0**2 * ar.num(sigma_N) ** 2 / ar.num(T)
+    return scaling**ell * ar.exp(
+        ell * ar.log(2) + ar.lgamma(shift + ell + eta / 2) - ar.lgamma(shift + eta / 2)
+    )
+
+
+def _ncchi_moment(ar: Arithmetic, ell, eta, lambda_bar, sigma_N, T):
+    if not ell > 0:
+        raise DomainError(f"ncchi_moment requires ell > 0, got {ell}")
+    ell, eta, lam = ar.num(ell), ar.num(eta), ar.num(lambda_bar)
+    base = _scaled_gamma_ratio(ar, ell, eta, sigma_N, T, 0)
+    if lam == 0:
+        return base
+    return base * ar.exp(-lam / 2) * ar.hyp1f1(ell + eta / 2, eta / 2, lam / 2)
+
+
+def _ncchi_moment_dsigma(ar: Arithmetic, ell, eta, lambda_bar, sigma_N, sigma, T):
+    mom = _ncchi_moment(ar, ell, eta, lambda_bar, sigma_N, T)
+    ell, eta, lam, sigma = ar.num(ell), ar.num(eta), ar.num(lambda_bar), ar.num(sigma)
+    if lam == 0:
+        return 2 * ell / sigma * mom
+    extra = (
+        _scaled_gamma_ratio(ar, ell, eta, sigma_N, T, 1)
+        * (lam * ar.exp(-lam / 2) / sigma)
+        * ar.hyp1f1(1 + ell + eta / 2, 1 + eta / 2, lam / 2)
+    )
+    return (lam + 2 * ell) / sigma * mom - extra
 
 
 def ncchi_moment(ell: float, eta: float, lambda_bar: float, sigma_N: float, T: float) -> float:
@@ -253,15 +251,7 @@ def ncchi_moment(ell: float, eta: float, lambda_bar: float, sigma_N: float, T: f
     1F1(ell+eta/2; eta/2; lambda/2)``; the central case drops the
     exponential/hypergeometric pair.
     """
-    if not ell > 0:
-        raise DomainError(f"ncchi_moment requires ell > 0, got {ell}")
-    base = _scaling(ell, sigma_N, T) * math.exp(
-        ell * math.log(2.0) + log_gamma(ell + eta / 2.0) - log_gamma(eta / 2.0)
-    )
-    if lambda_bar == 0.0:
-        return base
-    hyp = kummer_1f1(ell + eta / 2.0, eta / 2.0, lambda_bar / 2.0)
-    return base * math.exp(-lambda_bar / 2.0) * hyp.value
+    return _ncchi_moment(FLOAT, ell, eta, lambda_bar, sigma_N, T)
 
 
 def ncchi_moment_dsigma(
@@ -278,17 +268,7 @@ def ncchi_moment_dsigma(
 
     and ``(2 ell / sigma) E[RV^ell]`` in the central case.
     """
-    mom = ncchi_moment(ell, eta, lambda_bar, sigma_N, T)
-    if lambda_bar == 0.0:
-        return 2.0 * ell / sigma * mom
-    hyp = kummer_1f1(1.0 + ell + eta / 2.0, 1.0 + eta / 2.0, lambda_bar / 2.0)
-    extra = (
-        _scaling(ell, sigma_N, T)
-        * math.exp(ell * math.log(2.0) + log_gamma(1.0 + ell + eta / 2.0) - log_gamma(1.0 + eta / 2.0))
-        * (lambda_bar * math.exp(-lambda_bar / 2.0) / sigma)
-        * hyp.value
-    )
-    return (lambda_bar + 2.0 * ell) / sigma * mom - extra
+    return _ncchi_moment_dsigma(FLOAT, ell, eta, lambda_bar, sigma_N, sigma, T)
 
 
 def _working_dps(spec: OptionSpec) -> int:
@@ -310,6 +290,11 @@ def _inner_coeffs(spec: OptionSpec, ingredients: list) -> list:
     return g
 
 
+def _h_coeff(g: list, k: int):
+    """h_k = k! sum_{j<=k} g_j/(k-j)! as an mpmath real."""
+    return mpm.factorial(k) * mpm.fsum(g[j] / mpm.factorial(k - j) for j in range(k + 1))
+
+
 def _series_hp(
     spec: OptionSpec, ingredients: list, scale, rel_tol: float
 ) -> SeriesResult:
@@ -323,27 +308,12 @@ def _series_hp(
     K = mpm.mpf(spec.strike) / scale
     g = _inner_coeffs(spec, ingredients)
     total = mpm.mpf(0)
-    lag_prev = mpm.mpf(1)
-    lag_cur = 1 + a - K
     streak = 0
     terms = 0
     last = mpm.mpf(0)
     converged = False
-    for k in range(spec.k_terms + 1):
-        if k == 0:
-            lag = lag_prev
-        elif k == 1:
-            lag = lag_cur
-        else:
-            lag_prev, lag_cur = (
-                lag_cur,
-                ((2 * (k - 1) + 1 + a - K) * lag_cur - (k - 1 + a) * lag_prev) / k,
-            )
-            lag = lag_cur
-        h_k = mpm.factorial(k) * mpm.fsum(
-            g[j] / mpm.factorial(k - j) for j in range(k + 1)
-        )
-        term = h_k * lag
+    for k, lag in zip(range(spec.k_terms + 1), laguerre_polys(a, K)):
+        term = _h_coeff(g, k) * lag
         total += term
         terms = k + 1
         last = term
@@ -387,11 +357,7 @@ def dufresne_coeffs(spec: OptionSpec, mp: MomentProvider, k: int) -> float:
     dps = max(_working_dps(spec), 40 + k)
     with mpm.workdps(dps):
         ingredients = [mp.moment_hp(spec.rho_tau(j), dps) for j in range(k + 1)]
-        g = _inner_coeffs(spec, ingredients)
-        h_k = mpm.factorial(k) * mpm.fsum(
-            g[j] / mpm.factorial(k - j) for j in range(k + 1)
-        )
-        return float(h_k)
+        return float(_h_coeff(_inner_coeffs(spec, ingredients), k))
 
 
 def call_price(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> SeriesResult:

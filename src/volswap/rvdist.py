@@ -7,6 +7,11 @@ expansion coefficients c_k satisfy a linear recurrence driven by power sums
 of the weight ratios; raw moments of any positive (possibly fractional)
 order reduce to a finite hypergeometric combination of the c_k, and a
 rigorous tail bound is available when the contraction factor zeta < 1.
+
+The series is written once, over an :class:`~volswap.specfun.Arithmetic`:
+:func:`coeffs`/:func:`raw_moment` evaluate it in double precision,
+:func:`coeffs_hp`/:func:`raw_moment_hp` with mpmath reals at a chosen number
+of digits for the option pricer.
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import mpmath as mpm
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, NoConvergence, PreconditionError
 from .model import ReturnMoments
-from .specfun import SeriesResult, gauss_2f1_terminating, log_gamma
+from .specfun import FLOAT, MPMATH, Arithmetic, SeriesResult, laguerre_polys, log_gamma
 
 __all__ = [
     "ExpansionConfig",
@@ -73,89 +79,90 @@ class ExpansionConfig:
 
 @dataclass(frozen=True)
 class ExpansionCoeffs:
-    """Computed expansion coefficients and bound ingredients.
+    """Computed expansion coefficients.
 
     ``c[k]`` for k = 0..K; ``d[j]`` for j = 1..K (``d[0]`` is unused and 0);
-    ``zeta`` is the contraction factor, ``b0_bound`` = |c_0|, the k = 0 value
-    of :func:`coeff_bound` and the scale of its bound on every |c_k|.
+    ``zeta`` is the contraction factor.
     """
 
     c: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
     zeta: float
-    b0_bound: float
 
 
-def _ratios(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, np.ndarray, float]:
+def _ratios(
+    ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Common ingredients: h_i = 1 + r_i (nu/(2 mu0) - 1), xi_i = (1-r_i)/h_i
     with r_i = alpha_bar_i/beta_bar, and zeta = max |xi_i|."""
-    r = rm.alpha_bar / cfg.beta_bar
-    p = rm.nu / 2.0
-    h = 1.0 + r * (p / cfg.mu0_bar - 1.0)
-    if np.any(h <= 0.0):
+    r = ar.num(rm.alpha_bar) / ar.num(cfg.beta_bar)
+    p = ar.num(rm.nu) / 2
+    h = r * (p / ar.num(cfg.mu0_bar) - 1) + 1
+    if np.any(h <= 0):
         raise InvalidConfig(
             "nonpositive factor 1 + (alpha_bar_i/beta_bar)(nu/(2 mu0_bar) - 1); "
             "increase beta_bar or mu0_bar"
         )
-    xi = (1.0 - r) / h
+    xi = (1 - r) / h
     return h, xi, float(np.max(np.abs(xi)))
 
 
-def _log_c0(rm: ReturnMoments, cfg: ExpansionConfig, h: np.ndarray) -> float:
+def _log_c0(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, h: np.ndarray):
     """ln c_0 = p ln(p/mu0) - (1/2) sum ln h_i - s sum_i delta_i alpha_bar_i / h_i,
     s = (p - mu0)/(2 beta mu0), p = nu/2."""
-    p = rm.nu / 2.0
-    mu0 = cfg.mu0_bar
-    s = (p - mu0) / (2.0 * cfg.beta_bar * mu0)
-    log_c0 = p * math.log(p / mu0) - 0.5 * float(np.sum(np.log(h)))
-    if s != 0.0:
-        log_c0 -= s * float(np.sum(rm.delta_bar * rm.alpha_bar / h))
+    p = ar.num(rm.nu) / 2
+    mu0 = ar.num(cfg.mu0_bar)
+    s = (p - mu0) / (2 * ar.num(cfg.beta_bar) * mu0)
+    log_c0 = p * ar.log(p / mu0) - ar.sum(ar.log(h)) / 2
+    if s != 0:
+        log_c0 -= s * ar.sum(ar.num(rm.delta_bar) * ar.num(rm.alpha_bar) / h)
     return log_c0
 
 
-def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
-    """Build the expansion coefficients c_0..c_K.
+def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, K: int, u=None):
+    """(c, d, zeta): c_0..c_K and d_0..d_K in the arithmetic ``ar``.
 
-    c_0 has a closed form; for k >= 1 the recurrence
-    ``k c_k = sum_{j=1..k} d_j c_{k-j}`` applies, where the d_j are power
-    sums of the ratios xi_i weighted by the noncentralities.
+    c_0 has a closed form; for k >= 1 ``k c_k = sum_{j=1..k} d_j c_{k-j}``
+    with ``d_j = 1/2 sum xi^j - (j/2) sum w_i [(p-mu0) xi^j + mu0 xi^{j-1}]``,
+    w_i = delta_i alpha_bar_i / (beta mu0 h_i).  At the centered shape
+    (h = 1) the noncentral sums are (j / (2 beta)) U_{j-1}, and ``u`` may
+    carry the U_m of ``ReturnMoments.mean_forms`` so that no eigenvectors
+    are needed.
     """
     if np.any(rm.alpha_bar <= 0.0):
         raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
-    p = rm.nu / 2.0
-    mu0 = cfg.mu0_bar
-    beta = cfg.beta_bar
-    K = cfg.k_max
-    h, xi, zeta = _ratios(rm, cfg)
-    c = np.zeros(K + 1)
-    c[0] = math.exp(_log_c0(rm, cfg, h))
-
-    # d_j = 1/2 sum xi^j - (j/2) sum w_i [ (p-mu0) xi^j + mu0 xi^{j-1} ],
-    # w_i = delta_i alpha_bar_i / (beta mu0 h_i).
-    d = np.zeros(K + 1)
-    if mu0 == p and K >= 1:
-        # Centered shape (h = 1): the noncentral sums reduce to
-        # (j / (2 beta)) U_{j-1}, which spectral instances evaluate as
-        # quadratic forms -- no eigenvectors required.
-        u = rm.mean_forms(K, beta)
-        xi_pow = xi.copy()
-        for j in range(1, K + 1):
-            d[j] = 0.5 * float(np.sum(xi_pow)) - (j / (2.0 * beta)) * u[j - 1]
-            xi_pow = xi_pow * xi
-    else:
-        w = rm.delta_bar * rm.alpha_bar / (beta * mu0 * h)
-        xi_pow = np.ones_like(xi)  # xi^{j-1}
-        for j in range(1, K + 1):
-            xij = xi_pow * xi
-            d[j] = 0.5 * float(np.sum(xij)) - (j / 2.0) * float(
-                np.sum(w * ((p - mu0) * xij + mu0 * xi_pow))
-            )
-            xi_pow = xij
-
+    p = ar.num(rm.nu) / 2
+    mu0 = ar.num(cfg.mu0_bar)
+    beta = ar.num(cfg.beta_bar)
+    h, xi, zeta = _ratios(ar, rm, cfg)
+    c = ar.num(np.zeros(K + 1))
+    c[0] = ar.exp(_log_c0(ar, rm, cfg, h))
+    d = ar.num(np.zeros(K + 1))
+    if u is None:
+        w = ar.num(rm.delta_bar) * ar.num(rm.alpha_bar) / (h * (beta * mu0))
+    xi_prev = xi ** 0  # xi^{j-1}
+    for j in range(1, K + 1):
+        xij = xi_prev * xi
+        if u is None:
+            drift = j / 2 * ar.sum(w * (xij * (p - mu0) + xi_prev * mu0))
+        else:
+            drift = j / (2 * beta) * u[j - 1]
+        d[j] = ar.sum(xij) / 2 - drift
+        xi_prev = xij
     for k in range(1, K + 1):
-        c[k] = float(np.dot(c[:k][::-1], d[1 : k + 1])) / k
+        c[k] = ar.dot(c[:k][::-1], d[1 : k + 1]) / k
+    return c, d, zeta
 
-    return ExpansionCoeffs(c=c, d=d, zeta=zeta, b0_bound=float(c[0]))
+
+def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
+    """The expansion coefficients c_0..c_K (see ``_build``) in double
+    precision.  At the default shape center the noncentral sums are the
+    model's quadratic forms, so no eigenvectors are materialized."""
+    u = None
+    if cfg.mu0_bar == rm.nu / 2.0 and cfg.k_max >= 1:
+        u = rm.mean_forms(cfg.k_max, cfg.beta_bar)
+    c, d, zeta = _build(FLOAT, rm, cfg, cfg.k_max, u)
+    return ExpansionCoeffs(c=c, d=d, zeta=zeta)
 
 
 def _check_bound_preconditions(
@@ -175,7 +182,7 @@ def _check_bound_preconditions(
             f"bound requires beta_bar > {thresh} (half of (2 - nu/(2 mu0)) "
             f"times max alpha_bar), got {cfg.beta_bar}"
         )
-    h, xi, zeta = _ratios(rm, cfg)
+    h, xi, zeta = _ratios(FLOAT, rm, cfg)
     if zeta >= 1.0:
         raise PreconditionError(f"zeta >= 1 (zeta = {zeta}); tail bound not certified")
     return h, xi, zeta
@@ -195,25 +202,40 @@ def pdf(rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, y):
     beta = cfg.beta_bar
     x = rm.nu * y_arr / (4.0 * beta * cfg.mu0_bar)
 
-    # sum_k [k!/Gamma(p+k)] c_k L_k^{(p-1)}(x), L by recurrence over k.
+    # sum_k [k!/Gamma(p+k)] c_k L_k^{(p-1)}(x)
     acc = np.zeros_like(y_arr)
-    prev = np.ones_like(y_arr)
-    cur = p - x  # L_1^{(p-1)}
-    a = p - 1.0
-    for k in range(co.c.shape[0]):
-        if k == 0:
-            lag = prev
-        elif k == 1:
-            lag = cur
-        else:
-            prev, cur = cur, ((2 * (k - 1) + 1 + a - x) * cur - (k - 1 + a) * prev) / k
-            lag = cur
+    for k, lag in zip(range(co.c.shape[0]), laguerre_polys(p - 1.0, x)):
         weight = math.exp(log_gamma(k + 1.0) - log_gamma(p + k))
         acc = acc + weight * co.c[k] * lag
 
     log_env = -y_arr / (2.0 * beta) + (p - 1.0) * np.log(y_arr) - p * math.log(2.0 * beta)
     out = np.exp(log_env) * acc
     return out if out.ndim else float(out)
+
+
+def _moment_terms(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, c, ell):
+    """Yield the terms ``(2 beta)^ell Gamma(p+ell)/Gamma(p) c_k
+    2F1(-k, p+ell; p; p/mu0)`` of the moment series, one per coefficient.
+
+    At z = p/mu0 = 1 the hypergeometric factor collapses to (-ell)_k/(p)_k
+    (Chu-Vandermonde); the finite sum would cancel catastrophically for
+    large k, so the closed form is stepped by an O(1) ratio recurrence.
+    """
+    p, ell = ar.num(rm.nu) / 2, ar.num(ell)
+    front = ar.exp(
+        ell * ar.log(2 * ar.num(cfg.beta_bar)) + ar.lgamma(p + ell) - ar.lgamma(p)
+    )
+    z = p / ar.num(cfg.mu0_bar)
+    at_unit = z == 1
+    hyp = 1
+    for k, ck in enumerate(c):
+        if at_unit:
+            if k > 0:
+                hyp *= (k - 1 - ell) / (p + k - 1)
+            factor = hyp
+        else:
+            factor = ar.hyp2f1_terminating(k, p + ell, p, z)
+        yield front * ck * factor
 
 
 def raw_moment(
@@ -223,34 +245,13 @@ def raw_moment(
     ell: float,
     rel_tol: float = 1e-8,
 ) -> SeriesResult:
-    """Raw moment E[RV^ell] for any ell > 0 from the truncated expansion.
-
-    The k-th term is
-    ``(2 beta)^ell Gamma(p+ell)/Gamma(p) c_k 2F1(-k, p+ell; p; p/mu0)``
-    with p = nu/2; the hypergeometric factor terminates after k+1 terms.
-    """
+    """Raw moment E[RV^ell] for any ell > 0 from the truncated expansion
+    (terms of ``_moment_terms``)."""
     if not ell > 0:
         raise DomainError(f"raw_moment requires ell > 0, got {ell}")
-    p = rm.nu / 2.0
-    front = math.exp(
-        ell * math.log(2.0 * cfg.beta_bar) + log_gamma(p + ell) - log_gamma(p)
-    )
-    z = p / cfg.mu0_bar
     total = 0.0
     last = 0.0
-    # At z = 1 the hypergeometric factor collapses to (-ell)_k / (p)_k
-    # (Chu-Vandermonde); the direct finite sum would cancel catastrophically
-    # for large k, so use the closed form via an O(1) ratio recurrence.
-    at_unit = z == 1.0
-    hyp = 1.0
-    for k in range(cfg.k_max + 1):
-        if at_unit:
-            if k > 0:
-                hyp *= (k - 1.0 - ell) / (p + k - 1.0)
-            factor = hyp
-        else:
-            factor = gauss_2f1_terminating(k, p + ell, p, z)
-        last = front * co.c[k] * factor
+    for last in _moment_terms(FLOAT, rm, cfg, co.c, ell):
         total += last
 
     converged = abs(last) <= rel_tol * abs(total)
@@ -311,7 +312,7 @@ def _majorant(rm: ReturnMoments, cfg: ExpansionConfig) -> _Majorant:
     else:
         w = rm.delta_bar * rm.alpha_bar / (beta * mu0 * h)
         s, a = 0.0, float(np.sum(np.abs(w * ((p - mu0) * xi + mu0))))
-    return _Majorant(_log_c0(rm, cfg, h), 0.5 * xi.size, zeta, s, a)
+    return _Majorant(_log_c0(FLOAT, rm, cfg, h), 0.5 * xi.size, zeta, s, a)
 
 
 def _log_coeff_bounds(maj: _Majorant, k: np.ndarray) -> np.ndarray:
@@ -375,53 +376,18 @@ def _log_abs_poch(ell: float, k: int) -> float:
 
 
 def coeffs_hp(rm: ReturnMoments, cfg: ExpansionConfig, k_max: int, dps: int) -> list:
-    """Expansion coefficients c_0..c_{k_max} in arbitrary-precision arithmetic.
+    """Expansion coefficients c_0..c_{k_max} as mpmath reals at ``dps`` digits.
 
     The option pricer's coefficient sums cancel across tens of orders of
     magnitude, so its moment inputs must carry far more than double
-    precision end to end; this mirrors :func:`coeffs` with mpmath reals at
-    ``dps`` decimal digits.
+    precision end to end.  This is the recurrence of :func:`coeffs` in mpmath
+    arithmetic, always over the per-component noncentralities, so that the
+    coefficients are exact for one distribution.
     """
-    import mpmath as mpm
-
-    if np.any(rm.alpha_bar <= 0.0):
-        raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
     with mpm.workdps(dps):
-        p = mpm.mpf(rm.nu) / 2
-        mu0 = mpm.mpf(cfg.mu0_bar)
-        beta = mpm.mpf(cfg.beta_bar)
-        shape = p / mu0 - 1
-        r = [mpm.mpf(a) / beta for a in rm.alpha_bar]
-        h = [1 + ri * shape for ri in r]
-        if any(hi <= 0 for hi in h):
-            raise InvalidConfig(
-                "nonpositive factor 1 + (alpha_bar_i/beta_bar)(nu/(2 mu0_bar) - 1); "
-                "increase beta_bar or mu0_bar"
-            )
-        xi = [(1 - ri) / hi for ri, hi in zip(r, h)]
-        da = [mpm.mpf(d) * mpm.mpf(a) for d, a in zip(rm.delta_bar, rm.alpha_bar)]
-        s = (p - mu0) / (2 * beta * mu0)
-        log_c0 = (
-            p * mpm.log(p / mu0)
-            - mpm.fsum(mpm.log(hi) for hi in h) / 2
-            - s * mpm.fsum(x / hi for x, hi in zip(da, h))
-        )
-        c = [mpm.exp(log_c0)]
-        w = [x / (beta * mu0 * hi) for x, hi in zip(da, h)]
-        d = [mpm.mpf(0)] * (k_max + 1)
-        xi_pow = [mpm.mpf(1)] * len(xi)
-        for j in range(1, k_max + 1):
-            xij = [xp * x for xp, x in zip(xi_pow, xi)]
-            d[j] = mpm.fsum(xij) / 2 - mpm.mpf(j) / 2 * mpm.fsum(
-                wi * ((p - mu0) * cur + mu0 * prev)
-                for wi, cur, prev in zip(w, xij, xi_pow)
-            )
-            xi_pow = xij
-        for k in range(1, k_max + 1):
-            c.append(mpm.fsum(c[k - j] * d[j] for j in range(1, k + 1)) / k)
-    return c
+        return list(_build(MPMATH, rm, cfg, k_max)[0])
 
 
 def raw_moment_hp(
@@ -434,48 +400,25 @@ def raw_moment_hp(
     precision) before the supplied coefficients ran out; callers can extend
     the coefficient list and retry when it did not.
 
-    At the default shape center (mu0_bar = nu/2) the hypergeometric factor
-    reduces to the ratio (-ell)_k/(p)_k, so each extra order costs O(1);
-    otherwise the terminating series is summed.  For integer ell the series
+    The terms are those of :func:`raw_moment`.  For integer ell the series
     is exact once k reaches ell; for fractional ell the terms decay like
     k^{-(p+ell)} on top of the coefficient decay.
     """
-    import mpmath as mpm
-
     if not ell > 0:
         raise DomainError(f"raw_moment_hp requires ell > 0, got {ell}")
     with mpm.workdps(dps):
-        p = mpm.mpf(rm.nu) / 2
-        le = mpm.mpf(ell)
-        front = (2 * mpm.mpf(cfg.beta_bar)) ** le * mpm.gamma(p + le) / mpm.gamma(p)
-        z = p / mpm.mpf(cfg.mu0_bar)
-        at_one = z == 1
         total = mpm.mpf(0)
-        hyp = mpm.mpf(1)
         tiny_streak = 0
         eps = mpm.mpf(10) ** (-(dps - 5))
-        converged = False
-        for k, ck in enumerate(c_hp):
-            if at_one:
-                if k > 0:
-                    hyp *= (k - 1 - le) / (p + k - 1)
-                f = hyp
-            else:
-                term = mpm.mpf(1)
-                f = mpm.mpf(1)
-                for m in range(k):
-                    term *= mpm.mpf(-k + m) * (p + le + m) / (p + m) * z / (m + 1)
-                    f += term
-            contrib = ck * f
-            total += contrib
-            if total != 0 and abs(contrib) <= eps * abs(total):
+        for term in _moment_terms(MPMATH, rm, cfg, c_hp, ell):
+            total += term
+            if total != 0 and abs(term) <= eps * abs(total):
                 tiny_streak += 1
                 if tiny_streak >= 3:
-                    converged = True
-                    break
+                    return total, True
             else:
                 tiny_streak = 0
-        return front * total, converged
+        return total, False
 
 
 def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int) -> float:

@@ -1,25 +1,36 @@
 """Special-function kernel: log-gamma, Pochhammer, hypergeometric series,
-and generalized Laguerre functions of integer and fractional order.
+generalized Laguerre polynomials and functions, and the two arithmetics the
+series run in.
 
 Everything here is pure and stateless.  Series evaluations return a
 :class:`SeriesResult` recording how many terms were used and how small the
-final term was, so callers can propagate convergence diagnostics.
+final term was, so callers can propagate convergence diagnostics.  A formula
+that is needed both in double precision and at many digits is written once
+against an :class:`Arithmetic` and evaluated with :data:`FLOAT` or
+:data:`MPMATH`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import mpmath as mpm
+import numpy as np
 
 from .errors import DomainError, NoConvergence, PoleError
 
 __all__ = [
     "SeriesResult",
+    "Arithmetic",
+    "FLOAT",
+    "MPMATH",
     "log_gamma",
     "pochhammer",
     "gauss_2f1_terminating",
     "kummer_1f1",
-    "laguerre_int",
+    "laguerre_polys",
     "laguerre_frac",
 ]
 
@@ -76,26 +87,43 @@ def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
     return t, comp
 
 
-def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
-    """Terminating Gauss hypergeometric 2F1(-k, b; c; z).
-
-    The first parameter is the negative integer ``-k`` so the series stops
-    after ``k+1`` terms; summed with compensated addition.
-    """
-    if k < 0:
-        raise DomainError(f"terminating 2F1 requires k >= 0, got {k}")
-    total, comp = 1.0, 0.0
-    term = 1.0
+def _terminating_2f1(k: int, b, c, z):
+    """(sum, sum of |terms|) of 2F1(-k, b; c; z) in the arithmetic of b, c
+    and z, summed with compensated addition."""
+    total, comp, mass = 1, 0, 1
+    term = 1
     for m in range(k):
         num = (-k + m) * (b + m)
         den = c + m
-        if den == 0.0:
-            if num == 0.0:
+        if den == 0:
+            if num == 0:
                 break  # series terminated before the pole
             raise PoleError(f"2F1 denominator parameter hits a pole at m={m + 1}")
         term *= num / den * z / (m + 1)
         total, comp = _kahan_add(total, comp, term)
-    return total
+        mass += abs(term)
+    return total, mass
+
+
+def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
+    """Terminating Gauss hypergeometric 2F1(-k, b; c; z).
+
+    The first parameter is the negative integer ``-k`` so the series stops
+    after ``k+1`` terms.  Alternating terms cancel (z > 1 at large k most of
+    all): every decade by which their magnitudes outgrow the sum costs one
+    digit, so while fewer than about 12 digits would survive, the same series
+    is summed again with mpmath reals at more digits.
+    """
+    if k < 0:
+        raise DomainError(f"terminating 2F1 requires k >= 0, got {k}")
+    total, mass = _terminating_2f1(k, b, c, z)
+    dps = 15  # a double's
+    while dps < 300 and mass > 10.0 ** (dps - 11) * abs(total):
+        lost = mpm.log10(mass) - mpm.log10(abs(total)) if total else dps
+        dps += 20 + int(lost)
+        with mpm.workdps(dps):
+            total, mass = _terminating_2f1(k, mpm.mpf(b), mpm.mpf(c), mpm.mpf(z))
+    return float(total)
 
 
 def kummer_1f1(
@@ -131,20 +159,19 @@ def kummer_1f1(
     raise NoConvergence(f"1F1({a};{b};{z}) did not converge in {max_terms} terms")
 
 
-def laguerre_int(a: float, n: int, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^{(a)}(x), a > -1, integer n >= 0.
+def laguerre_polys(a, x):
+    """Generalized Laguerre polynomials L_0^{(a)}(x), L_1^{(a)}(x), ... without
+    end, in the arithmetic of ``a`` and ``x`` (float, ndarray or mpmath real).
 
     Uses the stable three-term recurrence in n.
     """
-    if n < 0:
-        raise DomainError(f"laguerre_int requires n >= 0, got {n}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + a - x
-    for m in range(1, n):
+    prev, cur = 1, 1 + a - x
+    yield prev
+    m = 0
+    while True:
+        yield cur
+        m += 1
         prev, cur = cur, ((2 * m + 1 + a - x) * cur - (m + a) * prev) / (m + 1)
-    return cur
 
 
 def laguerre_frac(a: float, b: float, x: float) -> SeriesResult:
@@ -167,3 +194,46 @@ def laguerre_frac(a: float, b: float, x: float) -> SeriesResult:
         last_term=front * series.last_term,
         converged=series.converged,
     )
+
+
+class Arithmetic(NamedTuple):
+    """The numbers a formula is evaluated in: all that differs between double
+    precision and mpmath reals.  ``num`` converts a float or an ndarray,
+    ``log`` is elementwise, ``sum`` and ``dot`` reduce arrays, the rest take
+    scalars (``lgamma`` is ln Gamma of a positive argument)."""
+
+    num: Callable
+    log: Callable
+    exp: Callable
+    lgamma: Callable
+    sum: Callable
+    dot: Callable
+    hyp1f1: Callable
+    hyp2f1_terminating: Callable
+
+
+# Python floats (libm, as in ``math``) and float64 ndarrays.
+FLOAT = Arithmetic(
+    num=lambda x: x,
+    log=lambda x: np.log(x) if isinstance(x, np.ndarray) else math.log(x),
+    exp=math.exp,
+    lgamma=math.lgamma,
+    sum=lambda x: float(np.sum(x)),
+    dot=lambda x, y: float(np.dot(x, y)),
+    hyp1f1=lambda a, b, z: kummer_1f1(a, b, z).value,
+    hyp2f1_terminating=gauss_2f1_terminating,
+)
+
+# mpmath reals and object ndarrays of them, used inside ``mpmath.workdps``.
+# Keep an array on the left of a product with an mpmath scalar: an mpf on the
+# left converts the whole array through a string before it falls back.
+MPMATH = Arithmetic(
+    num=np.frompyfunc(mpm.mpf, 1, 1),
+    log=np.frompyfunc(mpm.log, 1, 1),
+    exp=mpm.exp,
+    lgamma=mpm.loggamma,
+    sum=mpm.fsum,
+    dot=mpm.fdot,
+    hyp1f1=mpm.hyp1f1,
+    hyp2f1_terminating=lambda k, b, c, z: _terminating_2f1(k, b, c, z)[0],
+)

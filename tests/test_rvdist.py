@@ -453,25 +453,32 @@ def test_truncation_bound_validation(example_instance):
 # ---------------------------------------------------------------------------
 
 
+def _hp_configs(rm, k_max):
+    """The default config and two off-center shapes (mu0_bar at 0.8 and 1.2
+    times nu/2, beta_bar = max alpha_bar), which use the terminating 2F1."""
+    base = _cfg(rm, k_max=k_max)
+    return [base] + [_cfg(rm, k_max=k_max, mu0_bar=f * base.mu0_bar) for f in (0.8, 1.2)]
+
+
 def test_coeffs_hp_matches_float(example_instance):
     _, _, rm = example_instance
-    cfg = _cfg(rm, k_max=10)
-    co = rvdist.coeffs(rm, cfg)
-    c_hp = rvdist.coeffs_hp(rm, cfg, 10, dps=40)
-    for k in range(11):
-        # hp path consumes the eigenvector-based noncentralities, the float
-        # path the exact quadratic forms; they differ at the eigenvector
-        # accuracy (~1e-10)
-        assert float(c_hp[k]) == pytest.approx(co.c[k], rel=1e-8, abs=1e-300)
+    for cfg in _hp_configs(rm, 10):
+        co = rvdist.coeffs(rm, cfg)
+        c_hp = rvdist.coeffs_hp(rm, cfg, 10, dps=40)
+        for k in range(11):
+            # hp path consumes the eigenvector-based noncentralities, the float
+            # path at the default center the exact quadratic forms; they differ
+            # at the eigenvector accuracy (~1e-10)
+            assert float(c_hp[k]) == pytest.approx(co.c[k], rel=1e-8, abs=1e-300)
 
 
 def test_raw_moment_hp_matches_float(example_instance):
     _, _, rm = example_instance
-    cfg = _cfg(rm, k_max=25)
-    co = rvdist.coeffs(rm, cfg)
-    c_hp = rvdist.coeffs_hp(rm, cfg, 80, dps=40)
-    for ell in (0.5, 1.0, 2.0, 2.5):
-        val, converged = rvdist.raw_moment_hp(rm, cfg, c_hp, ell, dps=40)
-        assert converged
-        ref = rvdist.raw_moment(rm, cfg, co, ell).value
-        assert float(val) == pytest.approx(ref, rel=1e-9)
+    for cfg in _hp_configs(rm, 25):
+        co = rvdist.coeffs(rm, cfg)
+        c_hp = rvdist.coeffs_hp(rm, cfg, 80, dps=40)
+        for ell in (0.5, 1.0, 2.0, 2.5):
+            val, converged = rvdist.raw_moment_hp(rm, cfg, c_hp, ell, dps=40)
+            assert converged
+            ref = rvdist.raw_moment(rm, cfg, co, ell).value
+            assert float(val) == pytest.approx(ref, rel=1e-9)

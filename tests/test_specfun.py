@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import mpmath as mpm
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -14,7 +15,7 @@ from volswap.specfun import (
     gauss_2f1_terminating,
     kummer_1f1,
     laguerre_frac,
-    laguerre_int,
+    laguerre_polys,
     log_gamma,
     pochhammer,
 )
@@ -98,6 +99,7 @@ def test_2f1_vol_strike_parameters_vs_high_precision():
 
 
 @settings(max_examples=50, deadline=None)
+@example(k=10, b=2.0, c=0.5, z=1.25)  # alternating terms cancel for z > 1
 @given(
     k=st.integers(0, 12),
     b=st.floats(-5.0, 5.0),
@@ -153,20 +155,32 @@ def test_1f1_no_convergence_cap():
 # ---------------------------------------------------------------------------
 
 
-def test_laguerre_int_trivials():
-    assert laguerre_int(0.7, 0, 3.0) == 1.0
-    assert laguerre_int(0.7, 1, 3.0) == pytest.approx(1.7 - 3.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        laguerre_int(0.7, -1, 3.0)
+def _first_laguerre(a, x, count):
+    return list(itertools.islice(laguerre_polys(a, x), count))
 
 
-def test_laguerre_int_vs_scipy_grid():
+def test_laguerre_polys_trivials():
+    l0, l1 = _first_laguerre(0.7, 3.0, 2)
+    assert l0 == 1.0
+    assert l1 == pytest.approx(1.7 - 3.0, rel=1e-15)
+    # the arithmetic follows the argument: mpmath reals stay mpmath reals
+    with mpm.workdps(40):
+        a, x = mpm.mpf("0.7"), mpm.mpf(3)
+        l5 = _first_laguerre(a, x, 6)[5]
+        assert isinstance(l5, mpm.mpf)
+        assert abs(l5 - mpm.laguerre(5, a, x)) < mpm.mpf(10) ** -35
+
+
+def test_laguerre_polys_vs_scipy_grid():
+    xs = np.linspace(-5, 5, 50)
     for a in (-0.5, 0.0, 0.5, 2.0):
-        for n in range(11):
-            for x in np.linspace(-5, 5, 50):
-                ours = laguerre_int(a, n, float(x))
+        # an ndarray argument steps every point at once, with the same numbers
+        on_grid = [np.broadcast_to(lag, xs.shape) for lag in _first_laguerre(a, xs, 11)]
+        for i, x in enumerate(xs):
+            for n, ours in enumerate(_first_laguerre(a, float(x), 11)):
                 ref = float(eval_genlaguerre(n, a, x))
                 assert abs(ours - ref) < 1e-10 * max(1.0, abs(ref))
+                assert on_grid[n][i] == ours
 
 
 def test_laguerre_frac_at_zero_identity():
