@@ -15,13 +15,15 @@ noncentralities from the rotated means), not the per-interval variances.
 per-interval variances directly, which treats the returns as independent and
 only matches the true distribution through its mean.
 
-No n x n matrix is ever formed.  The log price is Markov, so the inverse of
-its grid covariance is tridiagonal and the eigenproblem reduces to a
-symmetric tridiagonal one: the eigenvalues (the chi-square weights) come
-from an O(n^2) QR sweep without eigenvectors, and the eigenvectors, needed
-only for the noncentralities, are materialized lazily on first access to
-``delta_bar``.  The return covariance itself is rank-1 semiseparable, so a
-product with it costs O(n) time and memory; the quadratic forms that drive
+No n x n matrix is ever formed, and no eigensolver runs.  The log price is
+Markov, so the inverse of its grid covariance is tridiagonal, and after a
+diagonal scaling it is Toeplitz except in its last row and column.  Its
+eigenvectors are sinusoids and its eigenvalues solve a secular equation with
+exactly one root in each of n known brackets (Kulkarni, Schmidt & Tsui,
+Linear Algebra Appl. 297, 1999; Yueh, Appl. Math. E-Notes 5, 2005), so the
+chi-square weights and the noncentralities cost O(1) each, O(n) in total.
+The return covariance itself is rank-1 semiseparable, so a product with it
+needs O(n) memory and log2(n) vector passes; the quadratic forms that drive
 the series coefficients (``ReturnMoments.mean_forms``) use only such
 products.
 """
@@ -30,11 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dsterf, dtbtrs
 
 from .errors import DegenerateInterval, DomainError
 
@@ -146,12 +146,15 @@ class _ReturnCovariance:
         if self.b is None:
             return y
         # u_i = sum_{j<=i} phi^(i-j) b_j x_j and w_i = sum_{j>=i} phi^(j-i) x_j
-        # are first-order recursions, solved as unit-bidiagonal systems: stable
-        # for 0 <= phi < 1, with no e^{+-kappa tau} scaling to overflow.
-        ab = np.zeros((2, x.size), order="F")
-        ab[1, :-1] = -self.phi
-        u = dtbtrs(ab, (self.b * x)[:, None], uplo="L", diag="U")[0][:, 0]
-        w = dtbtrs(ab, x[:, None], uplo="L", trans="T", diag="U")[0][:, 0]
+        # are first-order recursions, summed by doubling: after the pass with
+        # shift k each entry holds its terms up to distance 2k - 1.  Every
+        # term carries a power of 0 <= phi < 1, so nothing can overflow.
+        u, w = self.b * x, x.copy()
+        c, k = self.phi, 1
+        while k < x.size:
+            u[k:] += c * u[:-k]
+            w[:-k] += c * w[k:]
+            c, k = c * c, 2 * k
         # (Sigma x)_i = var_bar_i x_i - u_{i-1} - b_i w_{i+1}
         y[1:] -= u[:-1]
         y[:-1] -= self.b[:-1] * w[1:]
@@ -179,8 +182,8 @@ class ReturnMoments:
         Chi-square weights, in annualized variance points (x 100^2/T),
         largest first for spectral instances.
     delta_bar : ndarray
-        Noncentralities paired with ``alpha_bar`` (lazily materialized for
-        spectral instances: they require eigenvectors, the weights do not).
+        Noncentralities paired with ``alpha_bar``; for spectral instances
+        they come from the closed-form sinusoid eigenvectors, in O(n).
     nu : int
         Degrees of freedom N-1; the read-only ``eta`` is the same number
         under the name of the constant-regime reduction.
@@ -195,19 +198,14 @@ class ReturnMoments:
     mu_bar: np.ndarray = field(repr=False)
     alpha_bar: np.ndarray = field(repr=False)
     _cov: _ReturnCovariance = field(repr=False, compare=False)
+    _delta_bar: np.ndarray = field(repr=False)
     nu: int = 0
     lambda_bar: float = 0.0
     sigma_N: float = 0.0
     horizon: float = 1.0
-    _delta_bar: Optional[np.ndarray] = field(default=None, repr=False)
-    _delta_fn: Optional[Callable[[], np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def delta_bar(self) -> np.ndarray:
-        if self._delta_bar is None:
-            object.__setattr__(self, "_delta_bar", self._delta_fn())
         return self._delta_bar
 
     @property
@@ -239,7 +237,7 @@ class ReturnMoments:
 
         They equal the quadratic forms w mu_bar^T (I - w Sigma/beta_bar)^m mu_bar
         with w = 100^2/T and Sigma the return covariance, so each order costs
-        one O(n) product and eigenvectors are never needed.
+        one product with the O(n) covariance, independent of the eigenvectors.
         """
         w = 100.0**2 / self.horizon
         out = np.empty(max(count, 0))
@@ -285,49 +283,92 @@ def _noncentralities(weights: np.ndarray, means_sq: np.ndarray) -> np.ndarray:
 
 
 def _spectral_parts(
-    phi: float, q: float, nu: int, mu_bar: np.ndarray
-) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """Eigenvalues of the return covariance and a lazy noncentrality
-    builder, both through the tridiagonal reduction.
+    kdt: float, q: float, nu: int, x0_gap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the return covariance, largest first, and their
+    noncentralities, in closed form at O(1) each.
 
-    The grid log prices Y (after the known start) form a Gauss-Markov chain
-    with step coefficient phi = e^{-kappa dt} and innovation variance q, so
-    their precision T is tridiagonal.  With B the first-difference map the
-    return covariance is Sigma = B T^{-1} B^T, and B^T B = (q/phi) T + D
-    with D diagonal; hence Sigma's spectrum is q/phi - 1/eig(Ttilde) for
-    the symmetric tridiagonal Ttilde = |D|^{-1/2} T |D|^{-1/2}, and its
-    eigenvectors are diagonal/difference transforms of Ttilde's.
+    The grid log prices after the known start form a Gauss-Markov chain with
+    step coefficient phi = e^{-kappa dt} and innovation variance q, so their
+    precision T is tridiagonal.  With B the first-difference map the return
+    covariance is Sigma = B T^{-1} B^T, and B^T B = (q/phi) T + D with D
+    diagonal; hence Sigma's spectrum is q/phi - 1/x over the eigenvalues x of
+    Ttilde = |D|^{-1/2} T |D|^{-1/2}.  Ttilde is tridiagonal Toeplitz, with
+    a = (1+phi^2) phi/(q(1-phi)^2) on the diagonal and -b, b = phi^2/(q(1-phi)^2),
+    off it, except for its last diagonal entry a_n = phi/(q(1-phi)) and its
+    last off-diagonal entry -b_l, b_l^2 = (1-phi) b^2.  With
+    x = a - 2b cos(theta) the eigenvectors are sinusoids, y_i = sin(i theta)
+    for i < n and y_n = (b/b_l) sin(n theta), and the last row closes the
+    recurrence (Kulkarni, Schmidt & Tsui, Linear Algebra Appl. 297, 1999;
+    Yueh, Appl. Math. E-Notes 5, 2005):
+
+        (a_n - a) + (2b - c) cos(theta) + c cot(n theta) sin(theta) = 0,
+
+    c = b_l^2/b.  Here a_n - a + 2b - c = 0, and the equation reduces to
+
+        tan(n theta) tan(theta/2) = rho,   rho = (1-phi)/(1+phi) = tanh(kappa dt/2).
+
+    The left side rises from 0 to +inf on each (j pi/n, (j+1/2) pi/n),
+    j = 0..n-1, and is negative on the rest of each bracket, so it has
+    exactly one root there.  These are n distinct eigenvalues inside the band
+    [a - 2b, a + 2b], hence all of them: none lies above the band, and none
+    below it, as Sigma >= 0 requires.
+
+    In theta the weight is lambda = 4 q sin^2(theta/2)/E with
+    E = 1 - 2 phi cos(theta) + phi^2 = (1-phi)^2 + 4 phi sin^2(theta/2), free
+    of the cancellation in q/phi - 1/x.  Sigma's eigenvector is proportional
+    to B |D|^{-1/2} y, and the means are geometric,
+    mu_bar_i = -(x0 - alpha)(1-phi) phi^(i-1), so their projection is a
+    geometric-trigonometric sum, which the secular equation collapses to a
+    multiple of sin(theta)/E.  With
+
+        ||y||^2 = (2n - 1 - sin((2n-1) theta)/sin(theta))/4 + sin^2(n theta)/(1-phi)
+
+    the noncentrality is
+    delta = (x0 - alpha)^2 (1-phi)^4 cot^2(theta/2) / (4 q E ||y||^2).
     """
-    # |D| entries and the tridiagonal precision T (scaled by q).
-    d_abs = np.full(nu, (1.0 - phi) ** 2 / phi)
-    d_abs[-1] = (1.0 - phi) / phi
-    t_diag = np.full(nu, (1.0 + phi**2) / q)
-    t_diag[-1] = 1.0 / q
-    t_off = np.full(nu - 1, -phi / q)
-    inv_sqrt = 1.0 / np.sqrt(d_abs)
-    td = t_diag * inv_sqrt**2
-    to = t_off * inv_sqrt[:-1] * inv_sqrt[1:]
+    rho = math.tanh(0.5 * kdt)
+    phi = math.exp(-kdt)
+    om = -math.expm1(-kdt)  # 1 - phi
+    half = 0.5 / nu
+    k = rho * half
+    # Root j is theta/2 = j pi/(2n) + w with v = 2n w in (0, pi/2) solving
+    # F(v) = v - G(v) = 0, G(v) = arctan(rho cot(theta/2)).  G decreases and
+    # is convex, so F rises and is concave: a Newton step from the right of
+    # the root lands left of it, and from there the steps climb to it
+    # monotonically and quadratically.  The start is an upper bound: the
+    # root is at most G(0) and at most sqrt(2 n rho), since tan x >= x.
+    # theta/2 and pi/2 - theta/2 are formed separately so that their sines,
+    # sin(theta/2) and cos(theta/2), keep full relative accuracy at both ends
+    # of the band.
+    jh = (np.pi * half) * np.arange(nu - 1, -1, -1.0)  # descending weights
+    kh = (np.pi * half) * np.arange(1.0, nu + 1.0)  # pi/2 - j pi/(2n)
+    v_up = np.arctan2(rho * np.sin(kh), np.sin(jh))
+    w = half * np.minimum(v_up, math.sqrt(2.0 * nu * rho))
+    for _ in range(50):
+        s, c = np.sin(jh + w), np.sin(kh - w)
+        rc = rho * c
+        d = s * s + rc * rc
+        dw = (half * np.arctan2(rc, s) - w) * d / (d + k)  # -F/F', over 2n
+        w += dw
+        # The error left after a step of relative size e is about e^2/2 or
+        # less, so a step below 1e-8 w leaves less than the rounding of w.
+        if (np.abs(dw) / w).max() <= 1e-8:
+            break
+    else:
+        raise DomainError(f"secular equation did not converge (kappa dt = {kdt})")
 
-    w_vals, info = dsterf(td, to)
-    if info != 0:
-        raise DomainError(f"tridiagonal eigenvalue computation failed (info={info})")
-    lam = q / phi - 1.0 / w_vals  # ascending in lambda
-    lam = np.maximum(lam[::-1], 0.0)  # descending, clamped
-
-    def delta_fn() -> np.ndarray:
-        w_full, y_mat = eigh_tridiagonal(td, to)
-        psi = 1.0 / w_full
-        lam_f = q / phi - psi
-        z_mat = y_mat * inv_sqrt[:, None]
-        x_mat = np.empty_like(z_mat)
-        x_mat[0] = z_mat[0]
-        x_mat[1:] = z_mat[1:] - z_mat[:-1]
-        proj = mu_bar @ x_mat
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = np.where(lam_f > 0.0, psi * proj**2 / lam_f**2, 0.0)
-        return delta[::-1].copy()  # match the descending weight order
-
-    return lam, delta_fn
+    s, c = np.sin(jh + w), np.sin(kh - w)
+    s2 = s * s
+    e = om * om + 4.0 * phi * s2
+    # 4 q s^2/E, arranged so that rounding keeps the weights in order
+    lam = 4.0 * q / (om * om / s2 + 4.0 * phi)
+    # 4 ||y||^2, with (2n-1) theta = 2 v - theta (mod 2 pi), n theta = v (mod pi)
+    v = w / half
+    sin_odd = np.sin(2.0 * (v - jh - w))
+    norm4 = (2 * nu - 1) - sin_odd / (2.0 * s * c) + 4.0 * np.sin(v) ** 2 / om
+    delta = (x0_gap * om * om) ** 2 * (c * c) / (q * s2 * e * norm4)
+    return lam, delta
 
 
 def return_moments(
@@ -393,11 +434,11 @@ def return_moments(
     # diagonal and the off-diagonal part, so both must round alike (an exact
     # 1 - phi there loses about two digits once kappa dt is near 1e-5).
     a = s2 * -math.expm1(-kappa * dt) * (1.0 + phi ** np.arange(1.0, 2.0 * nu, 2.0))
-    lam, delta_fn = _spectral_parts(phi, q, nu, mu_bar)
+    lam, delta = _spectral_parts(kappa * dt, q, nu, params.x0 - params.alpha)
     return ReturnMoments(
         alpha_bar=scale * lam,
         _cov=_ReturnCovariance(var_bar, phi, (1.0 - phi) * a),
-        _delta_fn=delta_fn,
+        _delta_bar=delta,
         **common,
     )
 

@@ -1,6 +1,8 @@
 import math
+import time
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,55 @@ def test_spectral_matches_dense(kappa, n_obs):
     assert np.allclose(np.sort(rm.delta_bar), np.sort(d_ref), atol=1e-8)
 
 
+def _mp_oracle(p, sch):
+    """Weights (descending) and noncentralities from mpmath's symmetric
+    eigensolver on the dense return covariance built at 40 digits."""
+    with mp.workdps(40):
+        kappa, sigma, dt = mp.mpf(p.kappa), mp.mpf(p.sigma), mp.mpf(sch.dt)
+        alpha = mp.mpf(p.mu) - sigma**2 / (2 * kappa)
+        x0 = mp.log(mp.mpf(p.s0))
+        nu = sch.n_obs - 1
+        tau = [dt * i for i in range(nu + 1)]
+        var = [sigma**2 / (2 * kappa) * -mp.expm1(-2 * kappa * t) for t in tau]
+
+        def cov_x(i, j):
+            return var[min(i, j)] * mp.exp(-kappa * abs(tau[i] - tau[j]))
+
+        cov = mp.matrix(nu, nu)
+        for i in range(nu):
+            for j in range(nu):
+                cov[i, j] = (
+                    cov_x(i + 1, j + 1) - cov_x(i + 1, j) - cov_x(i, j + 1) + cov_x(i, j)
+                )
+        mean = [alpha + (x0 - alpha) * mp.exp(-kappa * t) for t in tau]
+        mu_bar = [mean[i + 1] - mean[i] for i in range(nu)]
+        lam, vecs = mp.eigsy(cov)
+        order = sorted(range(nu), key=lambda i: -lam[i])
+        proj = [mp.fsum(vecs[r, i] * mu_bar[r] for r in range(nu)) for i in order]
+        delta = [x**2 / lam[i] for x, i in zip(proj, order)]
+        weights = [lam[i] * 100**2 / mp.mpf(sch.horizon) for i in order]
+        return np.array([float(x) for x in weights]), np.array([float(x) for x in delta])
+
+
+_CORNERS = [(0.2, 0.1), (0.005, 0.1), (0.2, 5.0), (0.005, 5.0)]
+
+
+@pytest.mark.parametrize(
+    "sigma,kappa,n_obs",
+    [(s, k, n) for n in (2, 3, 4, 8, 30) for s, k in _CORNERS]
+    + [(0.2, 0.1, 52), (0.2, 5.0, 52)],
+)
+def test_spectral_matches_mpmath(sigma, kappa, n_obs):
+    # Every weight to 1e-13 relative, the smallest included: it comes from
+    # the first bracket of the secular equation, where a stalled root finder
+    # shows first (sigma=0.2, kappa=0.1, N=52).  Every noncentrality to
+    # 1e-10 relative, down to the tiny ones of the fast-oscillating modes.
+    p, sch, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+    a_ref, d_ref = _mp_oracle(p, sch)
+    np.testing.assert_allclose(rm.alpha_bar, a_ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(rm.delta_bar, d_ref, rtol=1e-10, atol=0.0)
+
+
 def _dense_mean_forms(cov, mu_bar, w, count, beta):
     """U_m = w mu^T (I - w cov/beta)^m mu by dense matrix-vector products."""
     out, v = [], mu_bar.copy()
@@ -225,18 +276,35 @@ def test_mean_forms_matches_arrays():
 
 def test_swap_quotes_hold_no_dense_covariance():
     # At N=5000 one dense n x n float matrix is 200 MB; the O(n) covariance
-    # and the eigenvalue-only reduction need a few vectors of length n.
+    # and the closed-form spectrum and noncentralities need a few vectors of
+    # length n.
     from volswap import swaps
 
     tracemalloc.start()
     try:
         _, _, rm = make_instance(sigma=0.05, kappa=1.5, n_obs=5000)
         vol, var = swaps.vol_swap_tv(rm), swaps.var_swap_tv(rm)
+        delta = rm.delta_bar
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert math.isfinite(vol.strike) and math.isfinite(var.strike)
+    assert np.all(np.isfinite(delta))
     assert peak < 20 * 2**20
+
+
+def test_return_moments_scaling_guard():
+    # The spectrum and the noncentralities in closed form: about 2 ms at
+    # N=5000, where an O(n^2) eigensolver takes 0.5 s and its eigenvectors 5 s.
+    p = SchwartzParams(s0=2.0, mu=0.6, sigma=0.08, kappa=1.5)
+    sch = Schedule(t1=0.0, horizon=1.0, n_obs=5000)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        rm = return_moments(p, sch)
+        rm.delta_bar
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.1
 
 
 def test_rv_mean_unchanged_by_correlation():
@@ -312,17 +380,40 @@ def test_zero_variance_zero_mean_allowed():
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=25, deadline=None)
+def _frobenius_sq(cov):
+    """||Sigma||_F^2 of the O(n) return covariance, in O(n): column j below
+    the diagonal is -b_j phi^k, k = 0..n-2-j."""
+    n = cov.var_bar.size
+    m = n - 1 - np.arange(n)
+    log_phi = math.log(cov.phi)
+    geometric = np.expm1(2.0 * m * log_phi) / math.expm1(2.0 * log_phi)
+    return float(np.sum(cov.var_bar**2) + 2.0 * np.sum(cov.b**2 * geometric))
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     kappa=st.floats(0.1, 5.0),
-    sigma=st.floats(0.01, 0.2),
-    n_obs=st.integers(2, 20),
+    sigma=st.floats(0.005, 0.2),
+    n_obs=st.integers(2, 5000),
 )
 def test_weights_property(kappa, sigma, n_obs):
+    # Invariants of the spectrum that need no eigensolver, at any N.
     p, sch, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
-    assert np.all(rm.alpha_bar >= 0)
+    a, w = rm.alpha_bar, 100.0**2 / sch.horizon
+    # descending; near the top of a fine grid neighbours can round alike
+    assert np.all(a > 0) and np.all(np.diff(a) <= 0)
     # eigenvalue sum equals the trace of the return covariance
-    assert float(np.sum(rm.alpha_bar)) == pytest.approx(
-        (100.0**2 / sch.horizon) * float(np.sum(rm.var_bar)), rel=1e-9
-    )
+    assert float(np.sum(a)) == pytest.approx(w * float(np.sum(rm.var_bar)), rel=1e-9)
     assert np.all(rm.delta_bar >= 0)
+    if n_obs > 2:  # spectral instances; N=2 is a single independent return
+        # sum of squared eigenvalues equals the squared Frobenius norm
+        frobenius = w**2 * _frobenius_sq(rm._cov)
+        assert float(np.sum(a**2)) == pytest.approx(frobenius, rel=1e-10)
+    # the noncentral sums against the O(n) quadratic forms; U_1 and U_2
+    # vanish at N=2, where rounding relative to U_0 is all that is left
+    beta = float(a[0])
+    xi = 1.0 - a / beta
+    da = rm.delta_bar * a
+    ref = [float(np.sum(da * xi**m)) for m in range(3)]
+    got = rm.mean_forms(3, beta)
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13 * ref[0])

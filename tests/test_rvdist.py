@@ -94,14 +94,14 @@ def test_coeffs_fast_path_matches_arrays():
     cfg = _cfg(rm, k_max=6)
     co = rvdist.coeffs(rm, cfg)  # spectral quadratic-form path
     xi = 1.0 - rm.alpha_bar / cfg.beta_bar
-    da = rm.delta_bar * rm.alpha_bar  # forces the eigenvector path
+    da = rm.delta_bar * rm.alpha_bar
     d_ref = np.zeros(7)
     for j in range(1, 7):
         d_ref[j] = 0.5 * np.sum(xi**j) - (j / (2.0 * cfg.beta_bar)) * np.sum(
             da * xi ** (j - 1)
         )
-    # agreement is limited by the eigenvector accuracy behind delta_bar
-    assert np.allclose(co.d, d_ref, rtol=1e-7, atol=1e-12)
+    # delta_bar is in closed form, so the two routes agree to rounding
+    assert np.allclose(co.d, d_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_coeffs_rejects_nonpositive_weights():
