@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     InvalidConfig,
     NoConvergence,
-    PoleError,
     PreconditionError,
     RegimeError,
     VolswapError,
@@ -42,7 +41,6 @@ __all__ = [
     "__version__",
     "VolswapError",
     "DomainError",
-    "PoleError",
     "NoConvergence",
     "InvalidConfig",
     "PreconditionError",

@@ -231,7 +231,11 @@ def cmd_pdf(args) -> int:
         raise DomainError("need 0 < y-min < y-max")
     grid = np.linspace(y_min, y_max, args.points)
     dens = rvdist.pdf(rm, cfg, co, grid)
-    meta = {"command": "pdf", "y_min": y_min, "y_max": y_max,
+    # The flags as given: a grid derived from E[RV] shows in the first and
+    # last rows, and its last-place moves must not change config_hash.
+    meta = {"command": "pdf",
+            "y_min": "auto" if args.y_min is None else args.y_min,
+            "y_max": "auto" if args.y_max is None else args.y_max,
             "points": args.points} | _model_meta(args)
     rows = [[float(y), float(d)] for y, d in zip(grid, dens)]
     _emit(args, meta, ["y", "density"], rows)

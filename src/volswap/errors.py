@@ -9,10 +9,6 @@ class DomainError(VolswapError):
     """Argument outside the mathematical domain of a function."""
 
 
-class PoleError(VolswapError):
-    """A hypergeometric denominator parameter hit a pole."""
-
-
 class NoConvergence(VolswapError):
     """A series failed to converge within its term budget."""
 

@@ -1,12 +1,33 @@
 """Distribution of realized variance RV = sum_i alpha_bar_i * Y_i with
 Y_i ~ noncentral chi-square(1, delta_bar_i).
 
-The density is expanded in generalized Laguerre polynomials around a
-Gamma(nu/2, 2*beta_bar) envelope with a free shape center mu0_bar.  The
-expansion coefficients c_k satisfy a linear recurrence driven by power sums
-of the weight ratios; raw moments of any positive (possibly fractional)
-order reduce to a finite hypergeometric combination of the c_k, and a
-rigorous tail bound is available when the contraction factor zeta < 1.
+The paper expands the density in generalized Laguerre polynomials around a
+Gamma(p, 2*beta_bar) envelope, p = nu/2, with a free shape center mu0:
+
+    f(y) = g(y) sum_k k!/Gamma(p+k) c_k L_k^{(p-1)}(p y / (2 beta_bar mu0)),
+
+where g is the envelope density.  With r_i = alpha_bar_i/beta_bar,
+h_i = 1 + r_i (p/mu0 - 1), xi_i = (1 - r_i)/h_i and
+w_i = delta_bar_i alpha_bar_i / (beta_bar mu0 h_i), the coefficients are
+those of the generating function
+
+    G(z) = sum_k c_k z^k
+         = c_0 prod_i (1 - xi_i z)^{-1/2}
+           exp(-(1/2) sum_i w_i z ((p - mu0) xi_i + mu0) / (1 - xi_i z)),
+
+    ln c_0 = p ln(p/mu0) - (1/2) sum_i ln h_i
+             - (p - mu0)/(2 beta_bar mu0) sum_i delta_bar_i alpha_bar_i / h_i,
+
+and a raw moment of any order ell > 0 is the series
+E[RV^ell] = (2 beta_bar)^ell Gamma(p+ell)/Gamma(p) sum_k c_k
+2F1(-k, p+ell; p; p/mu0).
+
+The library evaluates the expansion at mu0 = nu/2 only, where h_i = 1,
+c_0 = 1, xi_i = 1 - alpha_bar_i/beta_bar, the noncentral sums reduce to the
+model's quadratic forms, and the hypergeometric factor collapses to
+(-ell)_k/(p)_k (Chu-Vandermonde).  The coefficients then satisfy a linear
+recurrence driven by power sums of xi, and a rigorous tail bound is
+available when the contraction factor zeta = max |xi_i| < 1.
 
 The series is written once, over an :class:`~volswap.specfun.Arithmetic`:
 :func:`coeffs`/:func:`raw_moment` evaluate it in double precision,
@@ -51,30 +72,23 @@ _BOUND_TAIL_CAP = 100_000
 class ExpansionConfig:
     """Laguerre expansion parameters.
 
-    beta_bar is the Gamma-envelope scale, mu0_bar the shape center, k_max the
-    truncation order K (the series keeps terms 0..K).
+    beta_bar is the Gamma-envelope scale, k_max the truncation order K (the
+    series keeps terms 0..K).
     """
 
     beta_bar: float
-    mu0_bar: float
     k_max: int
 
     def __post_init__(self) -> None:
         if not self.beta_bar > 0:
             raise InvalidConfig(f"beta_bar must be > 0, got {self.beta_bar}")
-        if not self.mu0_bar > 0:
-            raise InvalidConfig(f"mu0_bar must be > 0, got {self.mu0_bar}")
         if self.k_max < 0:
             raise InvalidConfig(f"k_max must be >= 0, got {self.k_max}")
 
     @classmethod
     def defaults(cls, rm: ReturnMoments, k_max: int = DEFAULT_K_PRICING) -> "ExpansionConfig":
-        """Default choice: beta_bar = max alpha_bar_i, mu0_bar = nu/2."""
-        return cls(
-            beta_bar=float(np.max(rm.alpha_bar)),
-            mu0_bar=rm.nu / 2.0,
-            k_max=k_max,
-        )
+        """Default choice: beta_bar = max alpha_bar_i."""
+        return cls(beta_bar=float(np.max(rm.alpha_bar)), k_max=k_max)
 
 
 @dataclass(frozen=True)
@@ -90,65 +104,30 @@ class ExpansionCoeffs:
     zeta: float
 
 
-def _ratios(
-    ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Common ingredients: h_i = 1 + r_i (nu/(2 mu0) - 1), xi_i = (1-r_i)/h_i
-    with r_i = alpha_bar_i/beta_bar, and zeta = max |xi_i|."""
-    r = ar.num(rm.alpha_bar) / ar.num(cfg.beta_bar)
-    p = ar.num(rm.nu) / 2
-    h = r * (p / ar.num(cfg.mu0_bar) - 1) + 1
-    if np.any(h <= 0):
-        raise InvalidConfig(
-            "nonpositive factor 1 + (alpha_bar_i/beta_bar)(nu/(2 mu0_bar) - 1); "
-            "increase beta_bar or mu0_bar"
-        )
-    xi = (1 - r) / h
-    return h, xi, float(np.max(np.abs(xi)))
+def _ratios(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, float]:
+    """xi_i = 1 - alpha_bar_i/beta_bar and zeta = max |xi_i|."""
+    xi = 1 - ar.num(rm.alpha_bar) / ar.num(cfg.beta_bar)
+    return xi, float(np.max(np.abs(xi)))
 
 
-def _log_c0(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, h: np.ndarray):
-    """ln c_0 = p ln(p/mu0) - (1/2) sum ln h_i - s sum_i delta_i alpha_bar_i / h_i,
-    s = (p - mu0)/(2 beta mu0), p = nu/2."""
-    p = ar.num(rm.nu) / 2
-    mu0 = ar.num(cfg.mu0_bar)
-    s = (p - mu0) / (2 * ar.num(cfg.beta_bar) * mu0)
-    log_c0 = p * ar.log(p / mu0) - ar.sum(ar.log(h)) / 2
-    if s != 0:
-        log_c0 -= s * ar.sum(ar.num(rm.delta_bar) * ar.num(rm.alpha_bar) / h)
-    return log_c0
-
-
-def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, K: int, u=None):
+def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, K: int, u):
     """(c, d, zeta): c_0..c_K and d_0..d_K in the arithmetic ``ar``.
 
-    c_0 has a closed form; for k >= 1 ``k c_k = sum_{j=1..k} d_j c_{k-j}``
-    with ``d_j = 1/2 sum xi^j - (j/2) sum w_i [(p-mu0) xi^j + mu0 xi^{j-1}]``,
-    w_i = delta_i alpha_bar_i / (beta mu0 h_i).  At the centered shape
-    (h = 1) the noncentral sums are (j / (2 beta)) U_{j-1}, and ``u`` may
-    carry the U_m of ``ReturnMoments.mean_forms`` so that no eigenvectors
-    are needed.
+    c_0 = 1; for k >= 1 ``k c_k = sum_{j=1..k} d_j c_{k-j}`` with
+    ``d_j = 1/2 sum_i xi_i^j - (j / (2 beta)) U_{j-1}``, where ``u`` carries
+    the noncentral sums U_m = sum_i delta_i alpha_bar_i xi_i^m, m = 0..K-1.
     """
     if np.any(rm.alpha_bar <= 0.0):
         raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
-    p = ar.num(rm.nu) / 2
-    mu0 = ar.num(cfg.mu0_bar)
     beta = ar.num(cfg.beta_bar)
-    h, xi, zeta = _ratios(ar, rm, cfg)
+    xi, zeta = _ratios(ar, rm, cfg)
     c = ar.num(np.zeros(K + 1))
-    c[0] = ar.exp(_log_c0(ar, rm, cfg, h))
+    c[0] = ar.num(1.0)
     d = ar.num(np.zeros(K + 1))
-    if u is None:
-        w = ar.num(rm.delta_bar) * ar.num(rm.alpha_bar) / (h * (beta * mu0))
-    xi_prev = xi ** 0  # xi^{j-1}
+    xij = xi ** 0
     for j in range(1, K + 1):
-        xij = xi_prev * xi
-        if u is None:
-            drift = j / 2 * ar.sum(w * (xij * (p - mu0) + xi_prev * mu0))
-        else:
-            drift = j / (2 * beta) * u[j - 1]
-        d[j] = ar.sum(xij) / 2 - drift
-        xi_prev = xij
+        xij = xij * xi
+        d[j] = ar.sum(xij) / 2 - j / (2 * beta) * u[j - 1]
     for k in range(1, K + 1):
         c[k] = ar.dot(c[:k][::-1], d[1 : k + 1]) / k
     return c, d, zeta
@@ -156,36 +135,25 @@ def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, K: int, u=No
 
 def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
     """The expansion coefficients c_0..c_K (see ``_build``) in double
-    precision.  At the default shape center the noncentral sums are the
-    model's quadratic forms, so no eigenvectors are materialized."""
-    u = None
-    if cfg.mu0_bar == rm.nu / 2.0 and cfg.k_max >= 1:
-        u = rm.mean_forms(cfg.k_max, cfg.beta_bar)
+    precision, with the noncentral sums U_m from the model's quadratic forms
+    (``ReturnMoments.mean_forms``)."""
+    u = rm.mean_forms(cfg.k_max, cfg.beta_bar)
     c, d, zeta = _build(FLOAT, rm, cfg, cfg.k_max, u)
     return ExpansionCoeffs(c=c, d=d, zeta=zeta)
 
 
-def _check_bound_preconditions(
-    rm: ReturnMoments, cfg: ExpansionConfig
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Certify zeta < 1; returns (h, xi, zeta) of ``_ratios`` or raises
+def _check_bound_preconditions(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, float]:
+    """Certify zeta < 1; returns (xi, zeta) of ``_ratios`` or raises
     PreconditionError."""
-    p = rm.nu / 2.0
-    if cfg.mu0_bar < p / 2.0:
-        raise PreconditionError(
-            f"bound requires mu0_bar >= nu/4 = {p / 2.0}, got {cfg.mu0_bar}"
-        )
-    amax = float(np.max(rm.alpha_bar))
-    thresh = 0.5 * (2.0 - p / cfg.mu0_bar) * amax
+    thresh = 0.5 * float(np.max(rm.alpha_bar))
     if not cfg.beta_bar > thresh:
         raise PreconditionError(
-            f"bound requires beta_bar > {thresh} (half of (2 - nu/(2 mu0)) "
-            f"times max alpha_bar), got {cfg.beta_bar}"
+            f"bound requires beta_bar > {thresh} (half of max alpha_bar), got {cfg.beta_bar}"
         )
-    h, xi, zeta = _ratios(FLOAT, rm, cfg)
+    xi, zeta = _ratios(FLOAT, rm, cfg)
     if zeta >= 1.0:
         raise PreconditionError(f"zeta >= 1 (zeta = {zeta}); tail bound not certified")
-    return h, xi, zeta
+    return xi, zeta
 
 
 def pdf(rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, y):
@@ -200,7 +168,9 @@ def pdf(rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, y):
         raise DomainError("pdf requires y > 0")
     p = rm.nu / 2.0
     beta = cfg.beta_bar
-    x = rm.nu * y_arr / (4.0 * beta * cfg.mu0_bar)
+    # y / (2 beta) in exact arithmetic, kept as p y / (2 beta p): the two
+    # round differently, and this one keeps the density output bit-stable.
+    x = p * y_arr / (2.0 * beta * p)
 
     # sum_k [k!/Gamma(p+k)] c_k L_k^{(p-1)}(x)
     acc = np.zeros_like(y_arr)
@@ -214,28 +184,22 @@ def pdf(rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, y):
 
 
 def _moment_terms(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, c, ell):
-    """Yield the terms ``(2 beta)^ell Gamma(p+ell)/Gamma(p) c_k
-    2F1(-k, p+ell; p; p/mu0)`` of the moment series, one per coefficient.
+    """Yield the terms ``(2 beta)^ell Gamma(p+ell)/Gamma(p) c_k (-ell)_k/(p)_k``
+    of the moment series, one per coefficient.
 
-    At z = p/mu0 = 1 the hypergeometric factor collapses to (-ell)_k/(p)_k
-    (Chu-Vandermonde); the finite sum would cancel catastrophically for
-    large k, so the closed form is stepped by an O(1) ratio recurrence.
+    (-ell)_k/(p)_k is 2F1(-k, p+ell; p; 1) in closed form (Chu-Vandermonde);
+    the finite sum would cancel catastrophically for large k, so the closed
+    form is stepped by an O(1) ratio recurrence.
     """
     p, ell = ar.num(rm.nu) / 2, ar.num(ell)
     front = ar.exp(
         ell * ar.log(2 * ar.num(cfg.beta_bar)) + ar.lgamma(p + ell) - ar.lgamma(p)
     )
-    z = p / ar.num(cfg.mu0_bar)
-    at_unit = z == 1
     hyp = 1
     for k, ck in enumerate(c):
-        if at_unit:
-            if k > 0:
-                hyp *= (k - 1 - ell) / (p + k - 1)
-            factor = hyp
-        else:
-            factor = ar.hyp2f1_terminating(k, p + ell, p, z)
-        yield front * ck * factor
+        if k > 0:
+            hyp *= (k - 1 - ell) / (p + k - 1)
+        yield front * ck * hyp
 
 
 def raw_moment(
@@ -273,15 +237,14 @@ class _Majorant(NamedTuple):
     """Closed-form majorant of the coefficients' generating function
 
         G(z) = sum_k c_k z^k
-             = c_0 prod_i (1 - xi_i z)^{-1/2}
-               exp(-(1/2) sum_i w_i z ((p - mu0) xi_i + mu0) / (1 - xi_i z)),
+             = prod_i (1 - xi_i z)^{-1/2}
+               exp(-(z / (2 beta)) sum_i delta_i alpha_bar_i / (1 - xi_i z)):
 
-    with w_i = delta_i alpha_bar_i / (beta mu0 h_i): on |z| = r < 1/zeta,
-    ``|G| <= e^{log_c0} (1 - zeta r)^{-half_n} exp(r (s + a/(1 - zeta r))/2)``.
-    At most one of ``s`` and ``a`` is nonzero.
+    on |z| = r < 1/zeta, ``|G| <= (1 - zeta r)^{-half_n}
+    exp(r (s + a/(1 - zeta r))/2)``.  At most one of ``s`` and ``a`` is
+    nonzero.
     """
 
-    log_c0: float
     half_n: float
     zeta: float
     s: float
@@ -289,30 +252,25 @@ class _Majorant(NamedTuple):
 
     @property
     def constant(self) -> bool:
-        """G is the constant c_0, so every c_k with k >= 1 vanishes."""
+        """G is the constant c_0 = 1, so every c_k with k >= 1 vanishes."""
         return self.zeta == 0.0 and self.s == 0.0 and self.a == 0.0
 
 
 def _majorant(rm: ReturnMoments, cfg: ExpansionConfig) -> _Majorant:
     """Reduce the components to the majorant's constants, once, in O(n).
 
-    |1 - xi_i z| >= 1 - zeta r bounds the product.  At the default shape
-    center (mu0 = nu/2, so h_i = 1) with every xi_i >= 0 the exponent weights
-    are delta_i alpha_bar_i / beta >= 0, and min Re z/(1 - xi z) = -r/(1 + xi r)
-    >= -r on |z| = r, so the exponential is at most e^{S r/2} with
-    S = sum_i delta_i alpha_bar_i / beta, a quadratic form that needs no
-    eigenvectors.  Otherwise |z/(1 - xi_i z)| <= r/(1 - zeta r) gives
-    A = sum_i |w_i ((p - mu0) xi_i + mu0)|.
+    |1 - xi_i z| >= 1 - zeta r bounds the product.  The exponent weights
+    delta_i alpha_bar_i / beta are >= 0 and sum to S = U_0 / beta, a
+    quadratic form that needs no eigenvectors.  With every xi_i >= 0,
+    min Re z/(1 - xi z) = -r/(1 + xi r) >= -r on |z| = r, so the exponential
+    is at most e^{S r/2} (``s`` = S).  A beta_bar below max alpha_bar makes
+    some xi_i < 0; then |z/(1 - xi_i z)| <= r/(1 - zeta r) gives ``a`` = S.
     """
-    h, xi, zeta = _check_bound_preconditions(rm, cfg)
-    p = rm.nu / 2.0
-    mu0, beta = cfg.mu0_bar, cfg.beta_bar
-    if mu0 == p and float(np.min(xi)) >= 0.0:
-        s, a = float(rm.mean_forms(1, beta)[0]) / beta, 0.0
-    else:
-        w = rm.delta_bar * rm.alpha_bar / (beta * mu0 * h)
-        s, a = 0.0, float(np.sum(np.abs(w * ((p - mu0) * xi + mu0))))
-    return _Majorant(_log_c0(FLOAT, rm, cfg, h), 0.5 * xi.size, zeta, s, a)
+    xi, zeta = _check_bound_preconditions(rm, cfg)
+    drift = float(rm.mean_forms(1, cfg.beta_bar)[0]) / cfg.beta_bar
+    if float(np.min(xi)) >= 0.0:
+        return _Majorant(0.5 * xi.size, zeta, drift, 0.0)
+    return _Majorant(0.5 * xi.size, zeta, 0.0, drift)
 
 
 def _log_coeff_bounds(maj: _Majorant, k: np.ndarray) -> np.ndarray:
@@ -334,12 +292,7 @@ def _log_coeff_bounds(maj: _Majorant, k: np.ndarray) -> np.ndarray:
         disc = b * b - 4.0 * zeta * zeta * (k + h) * k
     r = 2.0 * k / (b + np.sqrt(disc))
     zr = zeta * r
-    return (
-        maj.log_c0
-        - k * np.log(r)
-        - h * np.log1p(-zr)
-        + 0.5 * r * (maj.s + maj.a / (1.0 - zr))
-    )
+    return -k * np.log(r) - h * np.log1p(-zr) + 0.5 * r * (maj.s + maj.a / (1.0 - zr))
 
 
 def _exp(log_x: float) -> float:
@@ -355,7 +308,7 @@ def coeff_bound(rm: ReturnMoments, cfg: ExpansionConfig, k: int) -> float:
     G(z) = sum_k c_k z^k (see ``_Majorant``): the minimum over 0 < r < 1/zeta
     of r^{-k} max_{|z|=r} |G(z)|, in closed form.
 
-    The bound is |c_0| itself at k = 0 and exactly 0 for k >= 1 only when
+    The bound is c_0 = 1 itself at k = 0 and exactly 0 for k >= 1 only when
     zeta = 0 and there is no drift (G is then constant).  Requires a
     certified zeta < 1; returns inf when the bound overflows.
     """
@@ -363,7 +316,7 @@ def coeff_bound(rm: ReturnMoments, cfg: ExpansionConfig, k: int) -> float:
         raise DomainError(f"coeff_bound requires k >= 0, got {k}")
     maj = _majorant(rm, cfg)
     if k == 0:
-        return math.exp(maj.log_c0)
+        return 1.0
     return _exp(float(_log_coeff_bounds(maj, np.array([float(k)]))[0]))
 
 
@@ -381,13 +334,18 @@ def coeffs_hp(rm: ReturnMoments, cfg: ExpansionConfig, k_max: int, dps: int) -> 
     The option pricer's coefficient sums cancel across tens of orders of
     magnitude, so its moment inputs must carry far more than double
     precision end to end.  This is the recurrence of :func:`coeffs` in mpmath
-    arithmetic, always over the per-component noncentralities, so that the
-    coefficients are exact for one distribution.
+    arithmetic, with the noncentral sums U_m taken over the per-component
+    noncentralities, so that the coefficients are exact for one distribution.
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
     with mpm.workdps(dps):
-        return list(_build(MPMATH, rm, cfg, k_max)[0])
+        xi, _ = _ratios(MPMATH, rm, cfg)
+        u, term = [], MPMATH.num(rm.delta_bar) * MPMATH.num(rm.alpha_bar)
+        for _ in range(k_max):
+            u.append(MPMATH.sum(term))
+            term = term * xi
+        return list(_build(MPMATH, rm, cfg, k_max, u)[0])
 
 
 def raw_moment_hp(
@@ -424,16 +382,10 @@ def raw_moment_hp(
 def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int) -> float:
     """Rigorous bound on the tail |sum_{k>K} term_k| of the moment series.
 
-    ``B = (2 beta)^ell sum_{k>K} Gamma(p+ell)/Gamma(p) |2F1(-k, p+ell; p; z)|
-    b_k`` with z = p/mu0 and b_k the :func:`coeff_bound` of |c_k|; requires
-    a certified zeta < 1 and ell > 0.  At the default shape center (z = 1)
-    the hypergeometric factor is |(-ell)_k|/(p)_k (Chu-Vandermonde), so the
-    tail vanishes exactly for integer ell <= K.  Off the center it is
-    replaced by the majorant (1+z)^k (p+ell)_k/(p)_k: by the triangle
-    inequality, since (p+ell)_m/(p)_m increases in m, and free of the
-    cancellation of the alternating sum; its summands decay like
-    ((1+z) zeta)^k, so the bound there is inf unless (1+z) zeta < 1.  The
-    tail is summed in log space, in blocks of orders, until the running term
+    ``B = (2 beta)^ell sum_{k>K} Gamma(p+ell)/Gamma(p) |(-ell)_k|/(p)_k b_k``
+    with b_k the :func:`coeff_bound` of |c_k|; requires a certified
+    zeta < 1 and ell > 0.  The tail vanishes exactly for integer ell <= K.
+    It is summed in log space, in blocks of orders, until the running term
     falls below 1e-16 of the accumulated sum (hard cap 1e5 terms); it
     returns inf once the sum exceeds the float range.
     """
@@ -442,35 +394,22 @@ def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int
     if not ell > 0:
         raise DomainError(f"truncation_bound requires ell > 0, got {ell}")
     maj = _majorant(rm, cfg)
-    p = rm.nu / 2.0
-    at_unit = cfg.mu0_bar == p
-    if maj.constant or (at_unit and ell == int(ell) and K >= ell):
+    if maj.constant or (ell == int(ell) and K >= ell):
         return 0.0
+    p = rm.nu / 2.0
     log_front = ell * math.log(2.0 * cfg.beta_bar)
     # ln of the factor at order K+1; each later order adds ``step``.
-    if at_unit:
-        decay = maj.zeta
-        log_f_next = _log_abs_poch(ell, K + 1) + log_gamma(p + ell) - log_gamma(p + K + 1)
-    else:
-        z = p / cfg.mu0_bar
-        decay = (1.0 + z) * maj.zeta
-        if decay >= 1.0:
-            return math.inf
-        log_1pz = math.log1p(z)
-        log_f_next = (K + 1) * log_1pz + log_gamma(p + ell + K + 1) - log_gamma(p + K + 1)
+    log_f_next = _log_abs_poch(ell, K + 1) + log_gamma(p + ell) - log_gamma(p + K + 1)
     log_tail = -math.inf
-    # The summands decay like decay^k, so a first block of about
-    # ln(1e16)/ln(1/decay) orders usually holds the whole tail.
+    # The summands decay like zeta^k, so a first block of about
+    # ln(1e16)/ln(1/zeta) orders usually holds the whole tail.
     k0 = K + 1
-    size = 32 if decay == 0.0 else min(32 + int(40.0 / -math.log(decay)), 4096)
+    size = 32 if maj.zeta == 0.0 else min(32 + int(40.0 / -math.log(maj.zeta)), 4096)
     with np.errstate(divide="ignore"):
         while k0 <= _BOUND_TAIL_CAP:
             k = np.arange(k0, min(k0 + size, _BOUND_TAIL_CAP + 1), dtype=float)
-            if at_unit:
-                # |(-ell)_{k+1}| / (p)_{k+1} = |(-ell)_k| / (p)_k * |k - ell| / (p + k)
-                step = np.log(np.abs(k - ell) / (p + k))
-            else:
-                step = log_1pz + np.log((p + ell + k) / (p + k))
+            # |(-ell)_{k+1}| / (p)_{k+1} = |(-ell)_k| / (p)_k * |k - ell| / (p + k)
+            step = np.log(np.abs(k - ell) / (p + k))
             log_f = log_f_next + np.concatenate(([0.0], np.cumsum(step[:-1])))
             log_f_next = float(log_f[-1] + step[-1])
             log_t = log_f + _log_coeff_bounds(maj, k)

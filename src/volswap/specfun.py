@@ -1,4 +1,4 @@
-"""Special-function kernel: log-gamma, Pochhammer, hypergeometric series,
+"""Special-function kernel: log-gamma, the confluent hypergeometric series,
 generalized Laguerre polynomials and functions, and the two arithmetics the
 series run in.
 
@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import mpmath as mpm
 import numpy as np
 
-from .errors import DomainError, NoConvergence, PoleError
+from .errors import DomainError, NoConvergence
 
 __all__ = [
     "SeriesResult",
@@ -27,8 +27,6 @@ __all__ = [
     "FLOAT",
     "MPMATH",
     "log_gamma",
-    "pochhammer",
-    "gauss_2f1_terminating",
     "kummer_1f1",
     "laguerre_polys",
     "laguerre_frac",
@@ -62,68 +60,12 @@ def gamma_ratio(num: float, den: float) -> float:
     return math.exp(log_gamma(num) - log_gamma(den))
 
 
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1.
-
-    Returns an exact 0.0 when ``a`` is a nonpositive integer hit by the
-    product.
-    """
-    if k < 0:
-        raise DomainError(f"pochhammer requires k >= 0, got {k}")
-    out = 1.0
-    for m in range(k):
-        f = a + m
-        if f == 0.0:
-            return 0.0
-        out *= f
-    return out
-
-
 def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
     # Compensated (Kahan) accumulation step.
     y = term - comp
     t = total + y
     comp = (t - total) - y
     return t, comp
-
-
-def _terminating_2f1(k: int, b, c, z):
-    """(sum, sum of |terms|) of 2F1(-k, b; c; z) in the arithmetic of b, c
-    and z, summed with compensated addition."""
-    total, comp, mass = 1, 0, 1
-    term = 1
-    for m in range(k):
-        num = (-k + m) * (b + m)
-        den = c + m
-        if den == 0:
-            if num == 0:
-                break  # series terminated before the pole
-            raise PoleError(f"2F1 denominator parameter hits a pole at m={m + 1}")
-        term *= num / den * z / (m + 1)
-        total, comp = _kahan_add(total, comp, term)
-        mass += abs(term)
-    return total, mass
-
-
-def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
-    """Terminating Gauss hypergeometric 2F1(-k, b; c; z).
-
-    The first parameter is the negative integer ``-k`` so the series stops
-    after ``k+1`` terms.  Alternating terms cancel (z > 1 at large k most of
-    all): every decade by which their magnitudes outgrow the sum costs one
-    digit, so while fewer than about 12 digits would survive, the same series
-    is summed again with mpmath reals at more digits.
-    """
-    if k < 0:
-        raise DomainError(f"terminating 2F1 requires k >= 0, got {k}")
-    total, mass = _terminating_2f1(k, b, c, z)
-    dps = 15  # a double's
-    while dps < 300 and mass > 10.0 ** (dps - 11) * abs(total):
-        lost = mpm.log10(mass) - mpm.log10(abs(total)) if total else dps
-        dps += 20 + int(lost)
-        with mpm.workdps(dps):
-            total, mass = _terminating_2f1(k, mpm.mpf(b), mpm.mpf(c), mpm.mpf(z))
-    return float(total)
 
 
 def kummer_1f1(
@@ -209,7 +151,6 @@ class Arithmetic(NamedTuple):
     sum: Callable
     dot: Callable
     hyp1f1: Callable
-    hyp2f1_terminating: Callable
 
 
 # Python floats (libm, as in ``math``) and float64 ndarrays.
@@ -221,7 +162,6 @@ FLOAT = Arithmetic(
     sum=lambda x: float(np.sum(x)),
     dot=lambda x, y: float(np.dot(x, y)),
     hyp1f1=lambda a, b, z: kummer_1f1(a, b, z).value,
-    hyp2f1_terminating=gauss_2f1_terminating,
 )
 
 # mpmath reals and object ndarrays of them, used inside ``mpmath.workdps``.
@@ -235,5 +175,4 @@ MPMATH = Arithmetic(
     sum=mpm.fsum,
     dot=mpm.fdot,
     hyp1f1=mpm.hyp1f1,
-    hyp2f1_terminating=lambda k, b, c, z: _terminating_2f1(k, b, c, z)[0],
 )

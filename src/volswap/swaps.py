@@ -64,11 +64,6 @@ class SwapQuote:
 def _tv_quote(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig], ell: float) -> SwapQuote:
     if cfg is None:
         cfg = rvdist.ExpansionConfig.defaults(rm)
-    p = rm.nu / 2.0
-    if not math.isclose(cfg.mu0_bar, p, rel_tol=1e-12):
-        raise InvalidConfig(
-            f"time-varying swap pricing requires mu0_bar = nu/2 = {p}, got {cfg.mu0_bar}"
-        )
     if not cfg.beta_bar > 0.5 * float(np.max(rm.alpha_bar)):
         raise InvalidConfig("requires beta_bar > max(alpha_bar)/2")
     co = rvdist.coeffs(rm, cfg)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from volswap import cli, rvdist, swaps
-from volswap.model import Schedule, SchwartzParams, return_moments
+from volswap.model import ReturnMoments, Schedule, SchwartzParams, return_moments
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +115,24 @@ def test_pdf_integrates_to_one(capsys):
     data = np.array([[float(v) for v in row] for row in rows])
     area = float(np.trapezoid(data[:, 1], data[:, 0]))
     assert area == pytest.approx(1.0, abs=1e-4)
+
+
+def test_pdf_config_hash_ignores_derived_grid(capsys, monkeypatch):
+    # Without --y-min/--y-max the grid follows E[RV]; a last-place move of it
+    # shows in the y column but not in the hashed metadata.
+    code, out, _ = run_cli(capsys, "pdf", "--points", "5")
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    rv_mean = ReturnMoments.rv_mean
+    monkeypatch.setattr(
+        ReturnMoments, "rv_mean", lambda self: math.nextafter(rv_mean(self), math.inf)
+    )
+    code, out, _ = run_cli(capsys, "pdf", "--points", "5")
+    assert code == 0
+    moved, _, moved_rows = parse_csv(out)
+    assert moved_rows[-1][0] != rows[-1][0]
+    assert moved["config_hash"] == meta["config_hash"]
+    assert meta["y_min"] == meta["y_max"] == "auto"
 
 
 def test_pdf_zero_points_exit_2(capsys):

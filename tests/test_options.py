@@ -34,9 +34,7 @@ def ref():
 
 
 def _lm(rm, k_max=25):
-    base = rvdist.ExpansionConfig.defaults(rm)
-    cfg = rvdist.ExpansionConfig(beta_bar=base.beta_bar, mu0_bar=base.mu0_bar, k_max=k_max)
-    return LaguerreMoments(rm, cfg)
+    return LaguerreMoments(rm, rvdist.ExpansionConfig.defaults(rm, k_max=k_max))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -25,15 +24,10 @@ from conftest import (
 )
 
 
-def _cfg(rm, k_max=25, **overrides):
-    base = ExpansionConfig.defaults(rm, k_max=k_max)
-    if overrides:
-        return ExpansionConfig(
-            beta_bar=overrides.get("beta_bar", base.beta_bar),
-            mu0_bar=overrides.get("mu0_bar", base.mu0_bar),
-            k_max=overrides.get("k_max", base.k_max),
-        )
-    return base
+def _cfg(rm, k_max=25, beta_bar=None):
+    if beta_bar is None:
+        return ExpansionConfig.defaults(rm, k_max=k_max)
+    return ExpansionConfig(beta_bar=beta_bar, k_max=k_max)
 
 
 def alpha_delta_instance(alpha, delta, horizon=1.0):
@@ -54,16 +48,14 @@ def test_config_defaults(example_instance):
     _, _, rm = example_instance
     cfg = ExpansionConfig.defaults(rm)
     assert cfg.beta_bar == float(np.max(rm.alpha_bar))
-    assert cfg.mu0_bar == rm.nu / 2.0
     assert cfg.k_max == rvdist.DEFAULT_K_PRICING
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(beta_bar=0.0, mu0_bar=1.0, k_max=3),
-        dict(beta_bar=1.0, mu0_bar=0.0, k_max=3),
-        dict(beta_bar=1.0, mu0_bar=1.0, k_max=-1),
+        dict(beta_bar=0.0, k_max=3),
+        dict(beta_bar=1.0, k_max=-1),
     ],
 )
 def test_config_validation(kwargs):
@@ -85,7 +77,7 @@ def test_coeffs_zero_drift_kills_exponential():
     rm = alpha_delta_instance([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     cfg = _cfg(rm, k_max=5)
     co = rvdist.coeffs(rm, cfg)
-    # with mu0 = nu/2 the h-factors are 1 and the exponential factor is 1
+    # c_0 = 1 at the shape center, whatever the drift
     assert co.c[0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -107,7 +99,7 @@ def test_coeffs_fast_path_matches_arrays():
 def test_coeffs_rejects_nonpositive_weights():
     rm = iid_return_moments(np.zeros(2), np.array([0.1, 0.0]), horizon=1.0)
     with pytest.raises(InvalidConfig):
-        rvdist.coeffs(rm, ExpansionConfig(beta_bar=100.0, mu0_bar=1.0, k_max=3))
+        rvdist.coeffs(rm, ExpansionConfig(beta_bar=100.0, k_max=3))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +149,7 @@ def _convolution_oracle(alpha, delta, y):
 def test_pdf_matches_convolution_oracle():
     alpha, delta = [1.0, 2.0], [0.0, 0.5]
     rm = alpha_delta_instance(alpha, delta)
-    cfg = ExpansionConfig(beta_bar=2.0, mu0_bar=1.0, k_max=20)
+    cfg = ExpansionConfig(beta_bar=2.0, k_max=20)
     co = rvdist.coeffs(rm, cfg)
     mean = float(np.sum(rm.alpha_bar * (1 + rm.delta_bar)))
     for y in np.linspace(0.01 * mean, 5 * mean, 12):
@@ -254,9 +246,9 @@ def test_raw_moment_half_constant_case():
 
 
 def test_raw_moment_no_bound_no_convergence(example_instance):
-    # off-center config with no certified tail bound and a fat last term
+    # an envelope too narrow for a certified tail bound, and a fat last term
     _, _, rm = example_instance
-    cfg = _cfg(rm, k_max=0, mu0_bar=rm.nu / 8.0)
+    cfg = _cfg(rm, k_max=0, beta_bar=0.4 * float(np.max(rm.alpha_bar)))
     co = rvdist.coeffs(rm, cfg)
     with pytest.raises(NoConvergence):
         rvdist.raw_moment(rm, cfg, co, 0.5)
@@ -299,22 +291,24 @@ def test_coeff_bound_trivials():
 
 def test_bound_preconditions():
     _, _, rm = make_instance(n_obs=20)
-    with pytest.raises(PreconditionError):
-        rvdist.coeff_bound(rm, _cfg(rm, mu0_bar=rm.nu / 8.0), 1)
-    with pytest.raises(PreconditionError):
-        rvdist.coeff_bound(
-            rm, _cfg(rm, beta_bar=0.4 * float(np.max(rm.alpha_bar))), 1
-        )
+    for scale in (0.5, 0.4):  # beta_bar <= max alpha_bar / 2
+        with pytest.raises(PreconditionError):
+            rvdist.coeff_bound(
+                rm, _cfg(rm, beta_bar=scale * float(np.max(rm.alpha_bar))), 1
+            )
 
 
 def _assert_dominated(rm, cfg, k_max=25):
-    co = rvdist.coeffs(rm, ExpansionConfig(cfg.beta_bar, cfg.mu0_bar, k_max))
+    co = rvdist.coeffs(rm, ExpansionConfig(cfg.beta_bar, k_max))
     for k in range(k_max + 1):
         assert abs(co.c[k]) <= rvdist.coeff_bound(rm, cfg, k) * (1 + 1e-12)
 
 
 # (sigma, kappa, N) of the default-quote error table in ROADMAP.md
 BASELINE_ROWS = [(0.08, 1.5, 52), (0.005, 3.0, 252), (0.005, 0.5, 52), (0.05, 0.5, 252)]
+
+# beta_bar / max alpha_bar of the off-default envelopes
+BETA_SCALES = (0.8, 1.3)
 
 
 def test_lemma_domination_randomized():
@@ -323,18 +317,17 @@ def test_lemma_domination_randomized():
         rm = random_iid_instance(rng)
         base = _cfg(rm, k_max=25)
         _assert_dominated(rm, base)
-        # off-default envelopes: negative xi_i (beta below max alpha) and an
-        # off-center shape, both inside the certified region
-        for beta_scale, mu0_scale in ((0.8, 1.0), (1.3, 0.7), (1.2, 1.5)):
-            cfg = _cfg(
-                rm, beta_bar=beta_scale * base.beta_bar, mu0_bar=mu0_scale * base.mu0_bar
-            )
+        # off-default envelopes inside the certified region: negative xi_i
+        # (beta below max alpha, the ``a`` form) and a wider envelope
+        for beta_scale in BETA_SCALES:
+            cfg = _cfg(rm, beta_bar=beta_scale * base.beta_bar)
             _assert_dominated(rm, cfg)  # raises PreconditionError if uncertified
-    # spectral instances: the default path reads the drift through mean_forms
+    # spectral instances: the drift is read through mean_forms
     for sigma, kappa, n_obs in ((0.1, 0.5, 13), (0.05, 3.0, 52), (0.2, 0.1, 5), (0.005, 3.0, 20)):
         _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
         _assert_dominated(rm, _cfg(rm))
-        _assert_dominated(rm, _cfg(rm, mu0_bar=0.8 * rm.nu / 2.0))
+        for beta_scale in BETA_SCALES:
+            _assert_dominated(rm, _cfg(rm, beta_bar=beta_scale * float(np.max(rm.alpha_bar))))
     # the default K=3 vol-swap certificate covers the error against the
     # 60-digit series at the baseline rows
     for sigma, kappa, n_obs in BASELINE_ROWS:
@@ -357,28 +350,6 @@ def test_truncation_bound_covers_series_tail():
             for K in range(6):
                 bound = rvdist.truncation_bound(rm, _cfg(rm, k_max=K), ell, K)
                 assert measured_tail(rm, ell, K) <= bound
-
-
-def test_truncation_bound_off_center_is_fast_and_covers_error():
-    # Off the default shape center the alternating 2F1 of the summand once
-    # cancelled catastrophically (no return within 20 s on the first
-    # instance); its majorant keeps each order O(1).
-    weighted = random_iid_instance(np.random.default_rng(7))  # zeta ~ 0.99
-    _, _, spectral = make_instance(sigma=0.2, kappa=0.1, n_obs=5)  # zeta ~ 0.1
-    for rm, finite in ((weighted, False), (spectral, True)):
-        exact = None
-        for mu0_scale in (1.6, 0.8):
-            for K in (0, 3, 10):
-                cfg = _cfg(rm, k_max=K, mu0_bar=mu0_scale * rm.nu / 2.0)
-                start = time.perf_counter()
-                bound = rvdist.truncation_bound(rm, cfg, 0.5, K)
-                assert time.perf_counter() - start < 1.0
-                assert math.isfinite(bound) == finite
-                if finite:
-                    if exact is None:
-                        exact = float(options.LaguerreMoments(rm).moment_hp(0.5, 60))
-                    value = rvdist.raw_moment(rm, cfg, rvdist.coeffs(rm, cfg), 0.5).value
-                    assert abs(value - exact) <= bound
 
 
 def test_truncation_bound_is_the_sum_of_coefficient_bounds():
@@ -454,10 +425,9 @@ def test_truncation_bound_validation(example_instance):
 
 
 def _hp_configs(rm, k_max):
-    """The default config and two off-center shapes (mu0_bar at 0.8 and 1.2
-    times nu/2, beta_bar = max alpha_bar), which use the terminating 2F1."""
+    """The default config and the off-default envelopes of BETA_SCALES."""
     base = _cfg(rm, k_max=k_max)
-    return [base] + [_cfg(rm, k_max=k_max, mu0_bar=f * base.mu0_bar) for f in (0.8, 1.2)]
+    return [base] + [_cfg(rm, k_max=k_max, beta_bar=f * base.beta_bar) for f in BETA_SCALES]
 
 
 def test_coeffs_hp_matches_float(example_instance):
@@ -466,10 +436,10 @@ def test_coeffs_hp_matches_float(example_instance):
         co = rvdist.coeffs(rm, cfg)
         c_hp = rvdist.coeffs_hp(rm, cfg, 10, dps=40)
         for k in range(11):
-            # hp path consumes the eigenvector-based noncentralities, the float
-            # path at the default center the exact quadratic forms; they differ
-            # at the eigenvector accuracy (~1e-10)
-            assert float(c_hp[k]) == pytest.approx(co.c[k], rel=1e-8, abs=1e-300)
+            # the hp path sums over the closed-form noncentralities, the float
+            # path takes the quadratic forms of mean_forms; both are exact to
+            # double-precision rounding
+            assert float(c_hp[k]) == pytest.approx(co.c[k], rel=1e-12, abs=1e-300)
 
 
 def test_raw_moment_hp_matches_float(example_instance):
@@ -481,4 +451,4 @@ def test_raw_moment_hp_matches_float(example_instance):
             val, converged = rvdist.raw_moment_hp(rm, cfg, c_hp, ell, dps=40)
             assert converged
             ref = rvdist.raw_moment(rm, cfg, co, ell).value
-            assert float(val) == pytest.approx(ref, rel=1e-9)
+            assert float(val) == pytest.approx(ref, rel=1e-12)

@@ -4,25 +4,27 @@ import math
 import mpmath as mpm
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
-from volswap.errors import DomainError, NoConvergence, PoleError
+from volswap import rvdist
+from volswap.errors import DomainError, NoConvergence
 from volswap.specfun import (
+    FLOAT,
     SeriesResult,
     gamma_ratio,
-    gauss_2f1_terminating,
     kummer_1f1,
     laguerre_frac,
     laguerre_polys,
     log_gamma,
-    pochhammer,
 )
+
+from conftest import constant_instance
 
 
 # ---------------------------------------------------------------------------
-# log_gamma / pochhammer
+# log_gamma
 # ---------------------------------------------------------------------------
 
 
@@ -48,69 +50,25 @@ def test_gamma_ratio():
     assert gamma_ratio(4.0, 3.0) == pytest.approx(3.0, rel=1e-14)
 
 
-def test_pochhammer_values():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(-2.0, 3) == 0.0
-    assert pochhammer(0.5, 3) == pytest.approx(1.875, rel=1e-15)
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=st.floats(0.05, 50.0), k=st.integers(0, 20))
-def test_pochhammer_gamma_identity(a, k):
-    assert pochhammer(a, k) == pytest.approx(
-        math.exp(log_gamma(a + k) - log_gamma(a)), rel=1e-12
-    )
-
-
 # ---------------------------------------------------------------------------
-# terminating 2F1
+# terminating 2F1 at unit argument
 # ---------------------------------------------------------------------------
-
-
-def test_2f1_trivials():
-    assert gauss_2f1_terminating(0, 2.0, 3.0, 0.7) == 1.0
-    assert gauss_2f1_terminating(1, 2.0, 3.0, 1.0) == pytest.approx(1 / 3, rel=1e-15)
-    with pytest.raises(DomainError):
-        gauss_2f1_terminating(-1, 2.0, 3.0, 1.0)
-
-
-def test_2f1_pole_detection():
-    # (c)_m hits zero with a live numerator
-    with pytest.raises(PoleError):
-        gauss_2f1_terminating(3, 2.5, -1.0, 0.5)
 
 
 def test_2f1_vol_strike_parameters_vs_high_precision():
-    # The parameter pattern of the half-moment series at nu = 251.
-    nu = 251
-    for k in (1, 2, 3):
-        ours = gauss_2f1_terminating(k, 1.0 - k - nu / 2.0, k - (nu + 1) / 2.0, 1.0)
-        with mpm.workdps(50):
-            ref = mpm.fsum(
-                mpm.rf(-k, m)
-                * mpm.rf(mpm.mpf(1) - k - mpm.mpf(nu) / 2, m)
-                / mpm.rf(k - (mpm.mpf(nu) + 1) / 2, m)
-                / mpm.factorial(m)
-                for m in range(k + 1)
-            )
-        assert ours == pytest.approx(float(ref), rel=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@example(k=10, b=2.0, c=0.5, z=1.25)  # alternating terms cancel for z > 1
-@given(
-    k=st.integers(0, 12),
-    b=st.floats(-5.0, 5.0),
-    c=st.floats(0.5, 10.0),
-    z=st.floats(-2.0, 2.0),
-)
-def test_2f1_vs_mpmath(k, b, c, z):
-    ours = gauss_2f1_terminating(k, b, c, z)
-    with mpm.workdps(40):
-        ref = float(mpm.hyp2f1(-k, b, c, z))
-    assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
+    # The moment series steps 2F1(-k, p+ell; p; 1) = (-ell)_k/(p)_k by a
+    # ratio recurrence; with unit coefficients its terms are that factor times
+    # the k = 0 term.  Checked at nu = 251, the vol-strike ell and one above.
+    rm = constant_instance(eta=251)
+    k_max = 50
+    cfg = rvdist.ExpansionConfig.defaults(rm, k_max=k_max)
+    p = mpm.mpf(rm.nu) / 2
+    for ell in (0.5, 1.5):
+        terms = list(rvdist._moment_terms(FLOAT, rm, cfg, np.ones(k_max + 1), ell))
+        for k, term in enumerate(terms):
+            with mpm.workdps(50):
+                ref = float(mpm.hyp2f1(-k, p + ell, p, 1))
+            assert term / terms[0] == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,7 @@ def test_equality_chain_variance():
 def test_equality_chain_volatility():
     eta, sigma_n, T = 12, 0.03, 0.75
     rm = constant_instance(eta=eta, lambda_bar=1e-14, sigma_n=sigma_n, horizon=T)
-    cfg = rvdist.ExpansionConfig.defaults(rm)
-    cfg = rvdist.ExpansionConfig(
-        beta_bar=cfg.beta_bar, mu0_bar=cfg.mu0_bar, k_max=25
-    )
+    cfg = rvdist.ExpansionConfig.defaults(rm, k_max=25)
     a = swaps.vol_swap_tv(rm, cfg).strike
     b = swaps.vol_swap_const_c(sigma_n**2, eta, T).strike
     c = swaps.vol_swap_ncchi(eta, rm.lambda_bar, sigma_n, T).strike
@@ -157,8 +154,7 @@ def test_vega_vol_swap_fd(mu_incr):
 
 
 def _cfg25(rm):
-    base = rvdist.ExpansionConfig.defaults(rm)
-    return rvdist.ExpansionConfig(beta_bar=base.beta_bar, mu0_bar=base.mu0_bar, k_max=25)
+    return rvdist.ExpansionConfig.defaults(rm, k_max=25)
 
 
 @pytest.mark.parametrize("mu_incr", [0.0, 0.004, 0.02])
@@ -194,20 +190,9 @@ def test_vega_requires_constant_regime():
 # ---------------------------------------------------------------------------
 
 
-def test_tv_requires_mu0_half_nu(example_instance):
-    _, _, rm = example_instance
-    cfg = rvdist.ExpansionConfig(
-        beta_bar=float(np.max(rm.alpha_bar)), mu0_bar=rm.nu / 4.0, k_max=3
-    )
-    with pytest.raises(InvalidConfig):
-        swaps.vol_swap_tv(rm, cfg)
-
-
 def test_tv_requires_beta_above_half_max_alpha(example_instance):
     _, _, rm = example_instance
-    cfg = rvdist.ExpansionConfig(
-        beta_bar=0.25 * float(np.max(rm.alpha_bar)), mu0_bar=rm.nu / 2.0, k_max=3
-    )
+    cfg = rvdist.ExpansionConfig(beta_bar=0.25 * float(np.max(rm.alpha_bar)), k_max=3)
     with pytest.raises(InvalidConfig):
         swaps.var_swap_tv(rm, cfg)
 
