@@ -290,9 +290,13 @@ def _inner_coeffs(spec: OptionSpec, ingredients: list) -> list:
     return g
 
 
-def _h_coeff(g: list, k: int):
-    """h_k = k! sum_{j<=k} g_j/(k-j)! as an mpmath real."""
-    return mpm.factorial(k) * mpm.fsum(g[j] / mpm.factorial(k - j) for j in range(k + 1))
+def _h_coeffs(g: list):
+    """Yield h_k = k! sum_{j<=k} g_j/(k-j)! for k = 0..len(g)-1 as mpmath
+    reals: each a dot product of g with the reciprocal factorials 1/m!,
+    which are computed once."""
+    inv_fact = [1 / mpm.factorial(m) for m in range(len(g))]
+    for k in range(len(g)):
+        yield mpm.factorial(k) * mpm.fdot(g[: k + 1], inv_fact[k::-1])
 
 
 def _series_hp(
@@ -312,8 +316,8 @@ def _series_hp(
     terms = 0
     last = mpm.mpf(0)
     converged = False
-    for k, lag in zip(range(spec.k_terms + 1), laguerre_polys(a, K)):
-        term = _h_coeff(g, k) * lag
+    for k, (h_k, lag) in enumerate(zip(_h_coeffs(g), laguerre_polys(a, K))):
+        term = h_k * lag
         total += term
         terms = k + 1
         last = term
@@ -357,7 +361,8 @@ def dufresne_coeffs(spec: OptionSpec, mp: MomentProvider, k: int) -> float:
     dps = max(_working_dps(spec), 40 + k)
     with mpm.workdps(dps):
         ingredients = [mp.moment_hp(spec.rho_tau(j), dps) for j in range(k + 1)]
-        return float(_h_coeff(_inner_coeffs(spec, ingredients), k))
+        *_, h_k = _h_coeffs(_inner_coeffs(spec, ingredients))
+        return float(h_k)
 
 
 def call_price(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> SeriesResult:

@@ -32,7 +32,12 @@ available when the contraction factor zeta = max |xi_i| < 1.
 The series is written once, over an :class:`~volswap.specfun.Arithmetic`:
 :func:`coeffs`/:func:`raw_moment` evaluate it in double precision,
 :func:`coeffs_hp`/:func:`raw_moment_hp` with mpmath reals at a chosen number
-of digits for the option pricer.
+of digits for the option pricer.  The recurrence's inputs, the O(K n) power
+and noncentral sums, are formed apart from it: by repeated float products in
+double precision, and by an integer kernel for :func:`coeffs_hp` that works
+in fixed point with P = (working precision + 64) bits, truncates each
+product once (an error below 2^-P) and rounds each exact sum once to an
+mpmath real.
 """
 
 from __future__ import annotations
@@ -66,6 +71,9 @@ DEFAULT_K_PRICING = 3
 DEFAULT_K_PDF = 25
 
 _BOUND_TAIL_CAP = 100_000
+
+# Bits the fixed-point sums of ``coeffs_hp`` carry beyond mpmath's precision.
+_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -104,41 +112,46 @@ class ExpansionCoeffs:
     zeta: float
 
 
-def _ratios(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, float]:
+def _ratios(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, float]:
     """xi_i = 1 - alpha_bar_i/beta_bar and zeta = max |xi_i|."""
-    xi = 1 - ar.num(rm.alpha_bar) / ar.num(cfg.beta_bar)
+    xi = 1 - rm.alpha_bar / cfg.beta_bar
     return xi, float(np.max(np.abs(xi)))
 
 
-def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, K: int, u):
-    """(c, d, zeta): c_0..c_K and d_0..d_K in the arithmetic ``ar``.
+def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, s, u):
+    """(c, d): c_0..c_K and d_0..d_K in the arithmetic ``ar``, K = len(s).
 
     c_0 = 1; for k >= 1 ``k c_k = sum_{j=1..k} d_j c_{k-j}`` with
-    ``d_j = 1/2 sum_i xi_i^j - (j / (2 beta)) U_{j-1}``, where ``u`` carries
-    the noncentral sums U_m = sum_i delta_i alpha_bar_i xi_i^m, m = 0..K-1.
+    ``d_j = 1/2 s_j - (j / (2 beta)) U_{j-1}``, where ``s[j-1]`` is the
+    power sum s_j = sum_i xi_i^j and ``u[m]`` the noncentral sum
+    U_m = sum_i delta_i alpha_bar_i xi_i^m, m = 0..K-1.
     """
     if np.any(rm.alpha_bar <= 0.0):
         raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
+    K = len(s)
     beta = ar.num(cfg.beta_bar)
-    xi, zeta = _ratios(ar, rm, cfg)
     c = ar.num(np.zeros(K + 1))
     c[0] = ar.num(1.0)
     d = ar.num(np.zeros(K + 1))
-    xij = xi ** 0
     for j in range(1, K + 1):
-        xij = xij * xi
-        d[j] = ar.sum(xij) / 2 - j / (2 * beta) * u[j - 1]
+        d[j] = s[j - 1] / 2 - j / (2 * beta) * u[j - 1]
     for k in range(1, K + 1):
         c[k] = ar.dot(c[:k][::-1], d[1 : k + 1]) / k
-    return c, d, zeta
+    return c, d
 
 
 def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
     """The expansion coefficients c_0..c_K (see ``_build``) in double
-    precision, with the noncentral sums U_m from the model's quadratic forms
+    precision, with the power sums formed by repeated products and the
+    noncentral sums U_m from the model's quadratic forms
     (``ReturnMoments.mean_forms``)."""
     u = rm.mean_forms(cfg.k_max, cfg.beta_bar)
-    c, d, zeta = _build(FLOAT, rm, cfg, cfg.k_max, u)
+    xi, zeta = _ratios(rm, cfg)
+    s, xij = [], xi**0
+    for _ in range(cfg.k_max):
+        xij = xij * xi
+        s.append(float(np.sum(xij)))
+    c, d = _build(FLOAT, rm, cfg, s, u)
     return ExpansionCoeffs(c=c, d=d, zeta=zeta)
 
 
@@ -150,7 +163,7 @@ def _check_bound_preconditions(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple
         raise PreconditionError(
             f"bound requires beta_bar > {thresh} (half of max alpha_bar), got {cfg.beta_bar}"
         )
-    xi, zeta = _ratios(FLOAT, rm, cfg)
+    xi, zeta = _ratios(rm, cfg)
     if zeta >= 1.0:
         raise PreconditionError(f"zeta >= 1 (zeta = {zeta}); tail bound not certified")
     return xi, zeta
@@ -328,6 +341,39 @@ def _log_abs_poch(ell: float, k: int) -> float:
     return math.lgamma(k - ell) - math.lgamma(-ell)
 
 
+def _power_sums_hp(rm: ReturnMoments, cfg: ExpansionConfig, K: int) -> tuple[list, list]:
+    """The sums of ``_build`` as mpmath reals at the working precision:
+    s_j = sum_i xi_i^j for j = 1..K and U_m = sum_i w_i xi_i^m for
+    m = 0..K-1, with w_i = delta_i alpha_bar_i.
+
+    They are formed in fixed point, in Python integers scaled by 2^P with
+    P = prec + ``_GUARD_BITS``.  xi_i and w_i are floor(x 2^P) of the exact
+    rationals the float inputs define, each power is the previous one times
+    xi_i truncated once by ``>> P``, and every sum of integers (U_m's
+    products with w_i included) is exact until it is rounded once to an
+    mpmath real.  Each truncation errs by less than 2^-P, so the j-th power
+    of xi_i is off by about 2 j max(1, |xi_i|)^j 2^-P at most: an absolute
+    error, which leaves s_j within 2 n j 2^-64 units of 2^-prec when every
+    |xi_i| <= 1.
+    """
+    P = mpm.mp.prec + _GUARD_BITS
+    bn, bd = float(cfg.beta_bar).as_integer_ratio()
+    xs, ws = [], []
+    for a, delta in zip(rm.alpha_bar.tolist(), rm.delta_bar.tolist()):
+        an, ad = a.as_integer_ratio()
+        dn, dd = delta.as_integer_ratio()
+        xs.append(((bn * ad - an * bd) << P) // (bn * ad))  # xi_i = 1 - a_i/beta
+        ws.append((dn * an << P) // (dd * ad))  # w_i = delta_i a_i
+    x, w = np.array(xs, dtype=object), np.array(ws, dtype=object)
+    power = np.full(x.size, 1 << P, dtype=object)
+    s, u = [], []
+    for _ in range(K):
+        u.append(mpm.mpf((int(np.dot(w, power)), -2 * P)))
+        power = (power * x) >> P
+        s.append(mpm.mpf((int(power.sum()), -P)))
+    return s, u
+
+
 def coeffs_hp(rm: ReturnMoments, cfg: ExpansionConfig, k_max: int, dps: int) -> list:
     """Expansion coefficients c_0..c_{k_max} as mpmath reals at ``dps`` digits.
 
@@ -336,16 +382,15 @@ def coeffs_hp(rm: ReturnMoments, cfg: ExpansionConfig, k_max: int, dps: int) -> 
     precision end to end.  This is the recurrence of :func:`coeffs` in mpmath
     arithmetic, with the noncentral sums U_m taken over the per-component
     noncentralities, so that the coefficients are exact for one distribution.
+    The O(k_max n) power and noncentral sums come from an integer kernel
+    (``_power_sums_hp``): every product is truncated once, by less than
+    2^-P with P the working precision plus ``_GUARD_BITS`` bits.
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
     with mpm.workdps(dps):
-        xi, _ = _ratios(MPMATH, rm, cfg)
-        u, term = [], MPMATH.num(rm.delta_bar) * MPMATH.num(rm.alpha_bar)
-        for _ in range(k_max):
-            u.append(MPMATH.sum(term))
-            term = term * xi
-        return list(_build(MPMATH, rm, cfg, k_max, u)[0])
+        s, u = _power_sums_hp(rm, cfg, k_max)
+        return list(_build(MPMATH, rm, cfg, s, u)[0])
 
 
 def raw_moment_hp(

@@ -127,7 +127,9 @@ def laguerre_frac(a: float, b: float, x: float) -> SeriesResult:
     if a <= -1:
         raise DomainError(f"laguerre_frac requires a > -1, got {a}")
     if a + b + 1 <= 0 or b + 1 <= 0:
-        raise DomainError(f"laguerre_frac normalization needs a+b+1 > 0 and b+1 > 0")
+        raise DomainError(
+            f"laguerre_frac normalization needs a+b+1 > 0 and b+1 > 0, got a={a}, b={b}"
+        )
     front = math.exp(log_gamma(a + b + 1.0) - log_gamma(b + 1.0) - log_gamma(a + 1.0))
     series = kummer_1f1(-b, a + 1.0, x)
     return SeriesResult(
@@ -141,14 +143,13 @@ def laguerre_frac(a: float, b: float, x: float) -> SeriesResult:
 class Arithmetic(NamedTuple):
     """The numbers a formula is evaluated in: all that differs between double
     precision and mpmath reals.  ``num`` converts a float or an ndarray,
-    ``log`` is elementwise, ``sum`` and ``dot`` reduce arrays, the rest take
-    scalars (``lgamma`` is ln Gamma of a positive argument)."""
+    ``dot`` reduces two arrays, the rest take scalars (``lgamma`` is
+    ln Gamma of a positive argument)."""
 
     num: Callable
     log: Callable
     exp: Callable
     lgamma: Callable
-    sum: Callable
     dot: Callable
     hyp1f1: Callable
 
@@ -156,23 +157,19 @@ class Arithmetic(NamedTuple):
 # Python floats (libm, as in ``math``) and float64 ndarrays.
 FLOAT = Arithmetic(
     num=lambda x: x,
-    log=lambda x: np.log(x) if isinstance(x, np.ndarray) else math.log(x),
+    log=math.log,
     exp=math.exp,
     lgamma=math.lgamma,
-    sum=lambda x: float(np.sum(x)),
     dot=lambda x, y: float(np.dot(x, y)),
     hyp1f1=lambda a, b, z: kummer_1f1(a, b, z).value,
 )
 
 # mpmath reals and object ndarrays of them, used inside ``mpmath.workdps``.
-# Keep an array on the left of a product with an mpmath scalar: an mpf on the
-# left converts the whole array through a string before it falls back.
 MPMATH = Arithmetic(
     num=np.frompyfunc(mpm.mpf, 1, 1),
-    log=np.frompyfunc(mpm.log, 1, 1),
+    log=mpm.log,
     exp=mpm.exp,
     lgamma=mpm.loggamma,
-    sum=mpm.fsum,
     dot=mpm.fdot,
     hyp1f1=mpm.hyp1f1,
 )

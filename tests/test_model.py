@@ -307,6 +307,22 @@ def test_return_moments_scaling_guard():
     assert best < 0.1
 
 
+def test_coeffs_hp_scaling_guard():
+    # The O(K n) power and noncentral sums in fixed-point integers: about
+    # 0.3-0.5 s at K=640, 90 digits, N=252, where summing mpmath products one
+    # at a time takes 2.2 s.
+    from volswap import rvdist
+
+    _, _, rm = make_instance(sigma=0.08, kappa=1.5, n_obs=252)
+    cfg = rvdist.ExpansionConfig.defaults(rm)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        rvdist.coeffs_hp(rm, cfg, 640, 90)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 1.0
+
+
 def test_rv_mean_unchanged_by_correlation():
     # The total-variance trace is invariant under rotation, so the mean of RV
     # is identical between the exact and independent-increment weightings.

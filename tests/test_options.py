@@ -384,3 +384,52 @@ def test_vega_vol_call_vs_fd():
     fd = (up - dn) / (2.0 * h)
     assert vega == pytest.approx(fd, rel=1e-3)
     assert vega > 0
+
+
+# ---------------------------------------------------------------------------
+# bit-identity pins: values recorded before the integer power sums and the
+# reciprocal-factorial convolution, compared with ==
+# ---------------------------------------------------------------------------
+
+
+def _pool_lm(sigma, kappa, n_obs):
+    """A fresh LaguerreMoments on an ``option_smile`` pool instance."""
+    params = SchwartzParams(s0=2.0, mu=0.6, sigma=sigma, kappa=kappa)
+    return LaguerreMoments(return_moments(params, Schedule(t1=0.0, horizon=1.0, n_obs=n_obs)))
+
+
+def test_pinned_var_call_n52():
+    lm = _pool_lm(0.096522, 3.344507, 52)
+    assert call_price(OptionSpec(rho=1.0, strike=66.65867979246397), lm).value == 26.35730789362892
+
+
+def test_pinned_n252_moment_and_no_convergence_message():
+    # no pool variance call converges at N=252, so the pins there are the
+    # fractional moment the pricer consumes and the refusal's text
+    lm = _pool_lm(0.064606, 1.12188, 252)
+    assert float(lm.moment_hp(0.5, 80)) == 6.458057797624431
+    with pytest.raises(NoConvergence) as info:
+        call_price(OptionSpec(rho=1.0, strike=48.947896747900934), lm)
+    assert str(info.value) == (
+        "call_price series not stagnated after 41 terms (last term 2.103e+00); "
+        "increase k_terms"
+    )
+
+
+def test_pinned_vol_call(ref):
+    _, _, rm, _ = ref
+    lm = _lm(rm)
+    e_vol = lm.moment(0.5)
+    spec = OptionSpec(rho=0.5, strike=e_vol, k_terms=200)
+    assert call_price(spec, lm, rel_tol=1e-7).value == 0.1994782751807096
+
+
+def test_pinned_dufresne_coeff():
+    nm = NcchiMoments(9.0, 0.8, 0.05, sigma=0.05, T=1.0)
+    spec = OptionSpec(rho=1.0, strike=10.0, a=1.0, b=0.5)
+    assert dufresne_coeffs(spec, nm, 5) == -928811101518178.0
+
+
+def test_pinned_vega_call():
+    nm = NcchiMoments(26.0, 0.9, 0.016, sigma=0.08, T=1.0)
+    assert vega_call(OptionSpec(rho=1.0, strike=nm.moment(1.0)), nm).value == 953.7344094512137

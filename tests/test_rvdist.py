@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mpm
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -452,3 +453,70 @@ def test_raw_moment_hp_matches_float(example_instance):
             assert converged
             ref = rvdist.raw_moment(rm, cfg, co, ell).value
             assert float(val) == pytest.approx(ref, rel=1e-12)
+
+
+def _coeffs_reference(rm, cfg, k_max, dps=150):
+    """c_0..c_{k_max} by the recurrence of ``_build``, with the power and
+    noncentral sums formed one mpmath product at a time at ``dps`` digits."""
+    with mpm.workdps(dps):
+        beta = mpm.mpf(cfg.beta_bar)
+        xi = [1 - mpm.mpf(a) / beta for a in rm.alpha_bar]
+        w = [mpm.mpf(d) * mpm.mpf(a) for a, d in zip(rm.alpha_bar, rm.delta_bar)]
+        power = [mpm.mpf(1)] * len(xi)
+        d = [mpm.mpf(0)]
+        for j in range(1, k_max + 1):
+            u = mpm.fsum(wi * pi for wi, pi in zip(w, power))  # U_{j-1}
+            power = [pi * x for pi, x in zip(power, xi)]
+            d.append(mpm.fsum(power) / 2 - j / (2 * beta) * u)
+        c = [mpm.mpf(1)]
+        for k in range(1, k_max + 1):
+            c.append(mpm.fsum(d[j] * c[k - j] for j in range(1, k + 1)) / k)
+        return c
+
+
+def _assert_hp_close(c_hp, ref, tol):
+    assert len(c_hp) == len(ref)
+    scale = max(1, max(abs(x) for x in ref))
+    assert max(abs(x - y) for x, y in zip(c_hp, ref)) <= tol * scale
+
+
+@pytest.mark.parametrize(
+    "sigma,kappa,n_obs", [(0.08, 1.5, 252), (0.005, 3.0, 252), (0.2, 0.1, 52), (0.1, 0.5, 13)]
+)
+def test_coeffs_hp_high_order_accuracy(sigma, kappa, n_obs):
+    # K=320 at 90 digits against a 150-digit reference, on the default
+    # envelope, a narrower one and a wider one; beta_bar = 0.4 max alpha_bar
+    # makes some xi_i < -1, so the powers grow
+    _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+    top = float(np.max(rm.alpha_bar))
+    for scale in (0.4, 0.8, 1.3):
+        cfg = _cfg(rm, beta_bar=scale * top)
+        if scale == 0.4:
+            assert np.min(1.0 - rm.alpha_bar / cfg.beta_bar) < -1.0
+        c_hp = rvdist.coeffs_hp(rm, cfg, 320, dps=90)
+        _assert_hp_close(c_hp, _coeffs_reference(rm, cfg, 320), 1e-87)
+
+
+def test_coeffs_hp_edges():
+    for n_obs in (2, 3):
+        _, _, rm = make_instance(n_obs=n_obs)
+        for cfg in _hp_configs(rm, 25):
+            for k_max in (0, 1, 25):
+                c_hp = rvdist.coeffs_hp(rm, cfg, k_max, dps=60)
+                _assert_hp_close(c_hp, _coeffs_reference(rm, cfg, k_max), 1e-57)
+    _, _, rm = make_instance()
+    cfg = _cfg(rm)
+    for k_max in (0, 1):
+        _assert_hp_close(
+            rvdist.coeffs_hp(rm, cfg, k_max, dps=60), _coeffs_reference(rm, cfg, k_max), 1e-57
+        )
+    with pytest.raises(DomainError):
+        rvdist.coeffs_hp(rm, cfg, -1, dps=60)
+
+
+def test_coeffs_hp_prefix_is_stable():
+    # LaguerreMoments rebuilds the list on each doubling of K and relies on
+    # the orders it already had keeping their values
+    _, _, rm = make_instance(n_obs=252)
+    for cfg in _hp_configs(rm, 25):
+        assert rvdist.coeffs_hp(rm, cfg, 80, 60)[:41] == rvdist.coeffs_hp(rm, cfg, 40, 60)

@@ -156,6 +156,8 @@ def test_laguerre_frac_vs_mpmath():
         assert ours.value == pytest.approx(ref, rel=1e-10)
     with pytest.raises(DomainError):
         laguerre_frac(-1.5, 0.5, 0.0)
+    with pytest.raises(DomainError, match=r"got a=0\.5, b=-2\.0"):
+        laguerre_frac(0.5, -2.0, 0.0)
 
 
 def test_noncentral_chi_mean_two_routes():
