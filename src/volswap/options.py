@@ -16,12 +16,18 @@ Two numerical safeguards are essential and handled internally:
 * the coefficient sums cancel across tens of orders of magnitude, so the
   whole pipeline (moments included) runs in arbitrary-precision arithmetic
   sized to the series length.
+
+Neither the scale nor the coefficients h_k depend on the strike, so they are
+built once per moment provider and (price or vega, rho, a, b, k_terms,
+precision) and kept while the provider lives; a strike then costs only its
+Laguerre polynomials and front factor.  A smile on one provider pays for
+its moments and coefficients once.
 """
 
 from __future__ import annotations
 
-import math
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -104,7 +110,9 @@ class MomentProvider(Protocol):
     ``moment``/``dmoment_dsigma`` are the double-precision interface;
     ``moment_hp``/``dmoment_dsigma_hp`` return mpmath values computed with
     at least ``dps`` decimal digits and feed the option pricer, whose
-    coefficient cancellation destroys double-precision inputs.
+    coefficient cancellation destroys double-precision inputs.  The pricer
+    keeps the series it builds from a provider's moments for the provider's
+    life, so those moments must not change.
     """
 
     def moment(self, ell: float) -> float: ...
@@ -119,10 +127,12 @@ class MomentProvider(Protocol):
 class LaguerreMoments:
     """Time-varying-regime moments from the realized-variance expansion.
 
-    The high-precision path keeps its own (lazily built, lazily extended)
-    coefficient list: integer orders terminate at k = ell, fractional orders
-    converge through coefficient decay, and the list is doubled until the
-    moment series stagnates at working precision.
+    The high-precision path keeps one coefficient list, built lazily at the
+    largest precision asked for and extended in place: each moment series is
+    summed once, drawing coefficients until it stagnates at working
+    precision (integer orders terminate at k = ell, fractional orders
+    converge through coefficient decay).  When the list runs out it is
+    continued by a quarter of its order (80 at first), up to ``_HP_K_CAP``.
     """
 
     def __init__(self, rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None):
@@ -131,9 +141,8 @@ class LaguerreMoments:
         self._co = rvdist.coeffs(rm, self._cfg)
         self._cache: dict[float, float] = {}
         self._lock = threading.Lock()
-        self._c_hp: Optional[list] = None
+        self._c_hp: list = []
         self._hp_dps = 0
-        self._hp_kmax = -1
         self._hp_cache: dict[float, tuple] = {}
 
     def moment(self, ell: float) -> float:
@@ -149,29 +158,35 @@ class LaguerreMoments:
             "sigma-derivatives are only available in the constant-volatility regime"
         )
 
+    def _coeffs_hp(self):
+        """Yield c_0, c_1, ..., c_{_HP_K_CAP}, continuing the list when the
+        consumer reaches its end."""
+        k = 0
+        while k <= _HP_K_CAP:
+            if k == len(self._c_hp):
+                k_max = min(max(80, (k - 1) * 5 // 4), _HP_K_CAP)
+                self._c_hp = rvdist.coeffs_hp(
+                    self._rm, self._cfg, k_max, self._hp_dps + 10, self._c_hp
+                )
+            yield self._c_hp[k]
+            k += 1
+
     def moment_hp(self, ell: float, dps: int):
         ell = float(ell)
         with self._lock:
             cached = self._hp_cache.get(ell)
             if cached is not None and cached[1] >= dps:
                 return cached[0]
-            k_need = max(80, int(math.ceil(ell)) + 5, self._hp_kmax)
-            while True:
-                if self._c_hp is None or self._hp_kmax < k_need or self._hp_dps < dps:
-                    self._c_hp = rvdist.coeffs_hp(self._rm, self._cfg, k_need, dps + 10)
-                    self._hp_dps = dps
-                    self._hp_kmax = k_need
-                value, converged = rvdist.raw_moment_hp(
-                    self._rm, self._cfg, self._c_hp, ell, dps
+            if dps > self._hp_dps:
+                self._c_hp, self._hp_dps = [], dps
+            value, converged = rvdist.raw_moment_hp(
+                self._rm, self._cfg, self._coeffs_hp(), ell, dps
+            )
+            if not converged:
+                raise NoConvergence(
+                    f"moment series for ell={ell} did not stagnate within "
+                    f"{_HP_K_CAP} coefficients"
                 )
-                if converged:
-                    break
-                if k_need >= _HP_K_CAP:
-                    raise NoConvergence(
-                        f"moment series for ell={ell} did not stagnate within "
-                        f"{_HP_K_CAP} coefficients"
-                    )
-                k_need = min(2 * k_need, _HP_K_CAP)
             self._hp_cache[ell] = (value, dps)
             return value
 
@@ -181,15 +196,19 @@ class LaguerreMoments:
         )
 
 
+@dataclass(frozen=True)
 class NcchiMoments:
-    """Constant-regime moments from the noncentral chi-square closed form."""
+    """Constant-regime moments from the noncentral chi-square closed form.
 
-    def __init__(self, eta: float, lambda_bar: float, sigma_N: float, sigma: float, T: float):
-        self.eta = eta
-        self.lambda_bar = lambda_bar
-        self.sigma_N = sigma_N
-        self.sigma = sigma
-        self.T = T
+    Frozen, because the pricer keeps each provider's strike-independent
+    series: changed parameters would be served a stale one.
+    """
+
+    eta: float
+    lambda_bar: float
+    sigma_N: float
+    sigma: float
+    T: float
 
     def moment(self, ell: float) -> float:
         return ncchi_moment(ell, self.eta, self.lambda_bar, self.sigma_N, self.T)
@@ -299,29 +318,27 @@ def _h_coeffs(g: list):
         yield mpm.factorial(k) * mpm.fdot(g[: k + 1], inv_fact[k::-1])
 
 
-def _series_hp(
-    spec: OptionSpec, ingredients: list, scale, rel_tol: float
-) -> SeriesResult:
+def _series_hp(spec: OptionSpec, scale, h: tuple, rel_tol: float) -> SeriesResult:
     """Evaluate discount * scale * K^b e^{-K} sum_k h_k L_k^{(a)}(K) with
-    K = strike/scale and h_k = k! sum_j g_j/(k-j)!.
+    K = strike/scale.
 
     Stagnation rule: three consecutive terms below rel_tol * |partial sum|
     flag convergence and stop the series.
     """
     a = mpm.mpf(spec.a)
     K = mpm.mpf(spec.strike) / scale
-    g = _inner_coeffs(spec, ingredients)
+    tol = mpm.mpf(rel_tol)
     total = mpm.mpf(0)
     streak = 0
     terms = 0
     last = mpm.mpf(0)
     converged = False
-    for k, (h_k, lag) in enumerate(zip(_h_coeffs(g), laguerre_polys(a, K))):
+    for k, (h_k, lag) in enumerate(zip(h, laguerre_polys(a, K))):
         term = h_k * lag
         total += term
         terms = k + 1
         last = term
-        if total != 0 and abs(term) <= mpm.mpf(rel_tol) * abs(total):
+        if total != 0 and abs(term) <= tol * abs(total):
             streak += 1
             if streak >= 3:
                 converged = True
@@ -365,6 +382,36 @@ def dufresne_coeffs(spec: OptionSpec, mp: MomentProvider, k: int) -> float:
         return float(h_k)
 
 
+# Per provider, the strike-independent series (scale, [h_0..h_K]) by key
+# (kind, rho, a, b, k_terms, dps); kind is "price" or "vega".
+_SERIES = weakref.WeakKeyDictionary()
+
+
+def _strike_free_series(kind: str, spec: OptionSpec, mp: MomentProvider, dps: int):
+    """The normalization scale s and h_0..h_K of the expansion, with the
+    ingredients E[Y^tau_j] / s^tau_j taken from the moments (kind "price")
+    or their sigma-derivatives (kind "vega"); called inside
+    ``mpm.workdps(dps)``.
+
+    None of it depends on the strike or the discount, so it is built once
+    per provider and key and kept while the provider lives.
+    """
+    key = (kind, spec.rho, spec.a, spec.b, spec.k_terms, dps)
+    try:
+        cache = _SERIES.setdefault(mp, {})
+    except TypeError:  # a provider that is unhashable or not weakly referable
+        cache = {}
+    if key not in cache:
+        s = _normalization_scale(spec, mp, dps)
+        moment = mp.moment_hp if kind == "price" else mp.dmoment_dsigma_hp
+        ingredients = [
+            moment(spec.rho_tau(j), dps) / s ** mpm.mpf(spec.tau(j))
+            for j in range(spec.k_terms + 1)
+        ]
+        cache[key] = (s, tuple(_h_coeffs(_inner_coeffs(spec, ingredients))))
+    return cache[key]
+
+
 def call_price(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> SeriesResult:
     """Price of the call (RV^rho - K)^+ under the fitted expansion:
     ``discount K^b e^{-K} sum_k h_k L_k^{(a)}(K)`` (after the internal
@@ -372,12 +419,7 @@ def call_price(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> 
     """
     dps = _working_dps(spec)
     with mpm.workdps(dps):
-        s = _normalization_scale(spec, mp, dps)
-        ingredients = [
-            mp.moment_hp(spec.rho_tau(j), dps) / s ** mpm.mpf(spec.tau(j))
-            for j in range(spec.k_terms + 1)
-        ]
-        result = _series_hp(spec, ingredients, s, rel_tol)
+        result = _series_hp(spec, *_strike_free_series("price", spec, mp, dps), rel_tol)
     if not result.converged:
         raise NoConvergence(
             f"call_price series not stagnated after {result.terms_used} terms "
@@ -396,12 +438,7 @@ def vega_call(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> S
     """
     dps = _working_dps(spec)
     with mpm.workdps(dps):
-        s = _normalization_scale(spec, mp, dps)
-        ingredients = [
-            mp.dmoment_dsigma_hp(spec.rho_tau(j), dps) / s ** mpm.mpf(spec.tau(j))
-            for j in range(spec.k_terms + 1)
-        ]
-        result = _series_hp(spec, ingredients, s, rel_tol)
+        result = _series_hp(spec, *_strike_free_series("vega", spec, mp, dps), rel_tol)
     if not result.converged:
         raise NoConvergence(
             f"vega_call series not stagnated after {result.terms_used} terms; "

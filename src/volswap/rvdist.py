@@ -29,15 +29,17 @@ model's quadratic forms, and the hypergeometric factor collapses to
 recurrence driven by power sums of xi, and a rigorous tail bound is
 available when the contraction factor zeta = max |xi_i| < 1.
 
-The series is written once, over an :class:`~volswap.specfun.Arithmetic`:
-:func:`coeffs`/:func:`raw_moment` evaluate it in double precision,
-:func:`coeffs_hp`/:func:`raw_moment_hp` with mpmath reals at a chosen number
-of digits for the option pricer.  The recurrence's inputs, the O(K n) power
-and noncentral sums, are formed apart from it: by repeated float products in
-double precision, and by an integer kernel for :func:`coeffs_hp` that works
-in fixed point with P = (working precision + 64) bits, truncates each
-product once (an error below 2^-P) and rounds each exact sum once to an
-mpmath real.
+The coefficient recurrence is written once, over an
+:class:`~volswap.specfun.Arithmetic`: :func:`coeffs` evaluates it in double
+precision, :func:`coeffs_hp` with mpmath reals at a chosen number of digits
+for the option pricer, and can continue an earlier list instead of
+rebuilding it.  The work around the recurrence runs in fixed point for the
+high-precision path: an integer kernel with P = (working precision + 64)
+bits forms the O(K n) power and noncentral sums that feed it, and sums the
+moment series of :func:`raw_moment_hp`; each product is truncated once (an
+error below 2^-P) and each exact sum rounded once to an mpmath real.
+:func:`raw_moment` sums the same terms in double precision
+(``_moment_terms``).
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ DEFAULT_K_PDF = 25
 
 _BOUND_TAIL_CAP = 100_000
 
-# Bits the fixed-point sums of ``coeffs_hp`` carry beyond mpmath's precision.
+# Bits the fixed-point sums of ``coeffs_hp`` and ``raw_moment_hp`` carry
+# beyond mpmath's precision.
 _GUARD_BITS = 64
 
 
@@ -118,13 +121,15 @@ def _ratios(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, float]
     return xi, float(np.max(np.abs(xi)))
 
 
-def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, s, u):
+def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, s, u, prefix=()):
     """(c, d): c_0..c_K and d_0..d_K in the arithmetic ``ar``, K = len(s).
 
     c_0 = 1; for k >= 1 ``k c_k = sum_{j=1..k} d_j c_{k-j}`` with
     ``d_j = 1/2 s_j - (j / (2 beta)) U_{j-1}``, where ``s[j-1]`` is the
     power sum s_j = sum_i xi_i^j and ``u[m]`` the noncentral sum
-    U_m = sum_i delta_i alpha_bar_i xi_i^m, m = 0..K-1.
+    U_m = sum_i delta_i alpha_bar_i xi_i^m, m = 0..K-1.  The orders in
+    ``prefix`` (c_0, c_1, ... of an earlier build from the same sums) are
+    taken as given, and the recurrence continues after them.
     """
     if np.any(rm.alpha_bar <= 0.0):
         raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
@@ -132,10 +137,11 @@ def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, s, u):
     beta = ar.num(cfg.beta_bar)
     c = ar.num(np.zeros(K + 1))
     c[0] = ar.num(1.0)
+    c[: len(prefix)] = prefix
     d = ar.num(np.zeros(K + 1))
     for j in range(1, K + 1):
         d[j] = s[j - 1] / 2 - j / (2 * beta) * u[j - 1]
-    for k in range(1, K + 1):
+    for k in range(max(1, len(prefix)), K + 1):
         c[k] = ar.dot(c[:k][::-1], d[1 : k + 1]) / k
     return c, d
 
@@ -196,18 +202,22 @@ def pdf(rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, y):
     return out if out.ndim else float(out)
 
 
-def _moment_terms(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, c, ell):
+def _moment_front(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, ell):
+    """The moment series' common factor (2 beta)^ell Gamma(p+ell)/Gamma(p)."""
+    p, ell = ar.num(rm.nu) / 2, ar.num(ell)
+    return ar.exp(ell * ar.log(2 * ar.num(cfg.beta_bar)) + ar.lgamma(p + ell) - ar.lgamma(p))
+
+
+def _moment_terms(rm: ReturnMoments, cfg: ExpansionConfig, c, ell: float):
     """Yield the terms ``(2 beta)^ell Gamma(p+ell)/Gamma(p) c_k (-ell)_k/(p)_k``
-    of the moment series, one per coefficient.
+    of the moment series in double precision, one per coefficient.
 
     (-ell)_k/(p)_k is 2F1(-k, p+ell; p; 1) in closed form (Chu-Vandermonde);
     the finite sum would cancel catastrophically for large k, so the closed
     form is stepped by an O(1) ratio recurrence.
     """
-    p, ell = ar.num(rm.nu) / 2, ar.num(ell)
-    front = ar.exp(
-        ell * ar.log(2 * ar.num(cfg.beta_bar)) + ar.lgamma(p + ell) - ar.lgamma(p)
-    )
+    p = rm.nu / 2
+    front = _moment_front(FLOAT, rm, cfg, ell)
     hyp = 1
     for k, ck in enumerate(c):
         if k > 0:
@@ -228,7 +238,7 @@ def raw_moment(
         raise DomainError(f"raw_moment requires ell > 0, got {ell}")
     total = 0.0
     last = 0.0
-    for last in _moment_terms(FLOAT, rm, cfg, co.c, ell):
+    for last in _moment_terms(rm, cfg, co.c, ell):
         total += last
 
     converged = abs(last) <= rel_tol * abs(total)
@@ -374,7 +384,9 @@ def _power_sums_hp(rm: ReturnMoments, cfg: ExpansionConfig, K: int) -> tuple[lis
     return s, u
 
 
-def coeffs_hp(rm: ReturnMoments, cfg: ExpansionConfig, k_max: int, dps: int) -> list:
+def coeffs_hp(
+    rm: ReturnMoments, cfg: ExpansionConfig, k_max: int, dps: int, prefix: list = ()
+) -> list:
     """Expansion coefficients c_0..c_{k_max} as mpmath reals at ``dps`` digits.
 
     The option pricer's coefficient sums cancel across tens of orders of
@@ -385,43 +397,64 @@ def coeffs_hp(rm: ReturnMoments, cfg: ExpansionConfig, k_max: int, dps: int) -> 
     The O(k_max n) power and noncentral sums come from an integer kernel
     (``_power_sums_hp``): every product is truncated once, by less than
     2^-P with P the working precision plus ``_GUARD_BITS`` bits.
+
+    ``prefix``, the list of an earlier call with the same model, config and
+    ``dps``, is continued rather than rebuilt: the recurrence forms only the
+    orders beyond it, and each order equals that of a fresh build bit for bit
+    (c_k does not depend on k_max).
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
     with mpm.workdps(dps):
         s, u = _power_sums_hp(rm, cfg, k_max)
-        return list(_build(MPMATH, rm, cfg, s, u)[0])
+        return list(_build(MPMATH, rm, cfg, s, u, prefix[: k_max + 1])[0])
 
 
-def raw_moment_hp(
-    rm: ReturnMoments, cfg: ExpansionConfig, c_hp: list, ell: float, dps: int
-):
+def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps: int):
     """Raw moment E[RV^ell] using the arbitrary-precision coefficients.
 
-    Returns ``(value, converged)`` where ``converged`` reports whether the
-    series stagnated (three consecutive negligible terms at working
-    precision) before the supplied coefficients ran out; callers can extend
-    the coefficient list and retry when it did not.
+    ``c_hp`` is any iterable of the coefficients c_0, c_1, ... as mpmath
+    reals, consumed only as far as the series needs: a generator may extend
+    its list as it goes.  Returns ``(value, converged)`` where ``converged``
+    reports whether the series stagnated (three consecutive terms below
+    10^-(dps-5) of the partial sum) before the coefficients ran out.
 
-    The terms are those of :func:`raw_moment`.  For integer ell the series
-    is exact once k reaches ell; for fractional ell the terms decay like
-    k^{-(p+ell)} on top of the coefficient decay.
+    The terms are those of :func:`raw_moment`, summed once in fixed point as
+    in ``_power_sums_hp``: with P = prec + ``_GUARD_BITS``, each c_k is cut
+    to a multiple of 2^-P, the factor (-ell)_k/(p)_k is stepped by the exact
+    rational (k-1-ell)/(p+k-1) of the float inputs and truncated once per
+    step, the products are summed exactly, and the sum is rounded once to an
+    mpmath real before the front factor multiplies it.  For integer ell the
+    series is exact once k reaches ell; for fractional ell the terms decay
+    like k^{-(p+ell)} on top of the coefficient decay.
     """
     if not ell > 0:
         raise DomainError(f"raw_moment_hp requires ell > 0, got {ell}")
     with mpm.workdps(dps):
-        total = mpm.mpf(0)
-        tiny_streak = 0
-        eps = mpm.mpf(10) ** (-(dps - 5))
-        for term in _moment_terms(MPMATH, rm, cfg, c_hp, ell):
+        P = mpm.mp.prec + _GUARD_BITS
+        en, ed = float(ell).as_integer_ratio()
+        pn, pd = (rm.nu / 2).as_integer_ratio()
+        inv_tol = 10 ** (dps - 5)
+        hyp = 1 << P
+        total = streak = 0
+        converged = False
+        for k, ck in enumerate(c_hp):
+            if k:
+                # (k-1-ell)/(p+k-1) = ((k-1) ed - en) pd / (((k-1) pd + pn) ed)
+                hyp = hyp * (((k - 1) * ed - en) * pd) // (((k - 1) * pd + pn) * ed)
+            sign, man, exp, _ = ck._mpf_
+            shift = exp + P
+            term = (man << shift if shift >= 0 else man >> -shift) * hyp
+            term = -term if sign else term
             total += term
-            if total != 0 and abs(term) <= eps * abs(total):
-                tiny_streak += 1
-                if tiny_streak >= 3:
-                    return total, True
+            if total and abs(term) * inv_tol <= abs(total):
+                streak += 1
+                if streak >= 3:
+                    converged = True
+                    break
             else:
-                tiny_streak = 0
-        return total, False
+                streak = 0
+        return _moment_front(MPMATH, rm, cfg, ell) * mpm.mpf((total, -2 * P)), converged
 
 
 def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -433,3 +434,100 @@ def test_pinned_dufresne_coeff():
 def test_pinned_vega_call():
     nm = NcchiMoments(26.0, 0.9, 0.016, sigma=0.08, T=1.0)
     assert vega_call(OptionSpec(rho=1.0, strike=nm.moment(1.0)), nm).value == 953.7344094512137
+
+
+# the option_smile pool instances behind the pins below, with their strikes:
+# twelve variance calls, then three volatility calls
+_SMILE_N52 = (0.096522, 3.344507, 52, [
+    (1.0, 27.404638613774623), (1.0, 38.253466138024145), (1.0, 46.75835398367834),
+    (1.0, 47.94422069854079), (1.0, 66.65867979246397), (1.0, 83.16816796343976),
+    (1.0, 106.65388766794234), (1.0, 110.81368575367081), (1.0, 128.88888857161345),
+    (1.0, 145.91719343034154), (1.0, 168.18925266885208), (1.0, 183.8186053873909),
+    (0.5, 8.250830831123713), (0.5, 10.659119314746725), (0.5, 11.546181819056555),
+])
+_SMILE_N252 = (0.064606, 1.12188, 252, [
+    (1.0, 12.177424325397705), (1.0, 25.959560710147752), (1.0, 27.560093831845528),
+    (1.0, 29.315247646762153), (1.0, 30.97010695796925), (1.0, 47.3097531873121),
+    (1.0, 48.947896747900934), (1.0, 56.95474129404438), (1.0, 59.871639776929634),
+    (1.0, 66.41167720632133), (1.0, 69.29932312562462), (1.0, 76.73783215074745),
+    (0.5, 5.429289190462867), (0.5, 7.150361593529779), (0.5, 8.00670005749478),
+])
+
+
+def _price_smile(smile):
+    """Each strike's price, or the text of its NoConvergence, on one fresh
+    LaguerreMoments."""
+    sigma, kappa, n_obs, legs = smile
+    lm = _pool_lm(sigma, kappa, n_obs)
+    out = []
+    for rho, strike in legs:
+        try:
+            out.append(call_price(OptionSpec(rho=rho, strike=strike), lm).value)
+        except NoConvergence as exc:
+            out.append(str(exc))
+    return lm, out
+
+
+def _stalled(last):
+    return f"call_price series not stagnated after 41 terms (last term {last}); increase k_terms"
+
+
+def test_pinned_smile_n52():
+    # recorded before the strike-independent series was shared across strikes
+    _, out = _price_smile(_SMILE_N52)
+    assert out == [
+        65.24119865449165, 54.39247503449491, 45.89049987584058, 44.70607102275277,
+        26.35730789362892, 12.682682307984615, 2.526081051727216, 1.766064473351132,
+        0.2954711258495387, 0.04019530913149001, 0.0020234418571802477, 0.00020030792767618,
+        _stalled("5.070e-05"), _stalled("2.252e-06"), _stalled("1.109e-05"),
+    ]
+
+
+def test_pinned_smile_n252_messages():
+    _, out = _price_smile(_SMILE_N252)
+    assert out == [_stalled(t) for t in (
+        "1.289e+24", "3.849e+14", "1.568e+14", "1.434e+13", "7.405e+11", "1.701e+00",
+        "2.103e+00", "3.576e-06", "1.112e-08", "1.104e-14", "1.847e-17", "7.089e-25",
+        "1.388e-03", "2.265e-05", "4.277e-05",
+    )]
+
+
+def test_smile_work_counts(monkeypatch):
+    # One smile does each piece of strike-independent work once: every
+    # coefficient order is convolved once however often the list is
+    # extended, every moment series is summed once, and the scale and h_k
+    # are formed once per key (here one for the variance calls, one for the
+    # volatility calls).
+    rows, h_calls, sums = [], [], []
+    mp_dot = rvdist.MPMATH.dot
+
+    def dot(x, y):
+        rows.append(len(x))
+        return mp_dot(x, y)
+
+    h_coeffs, raw_moment_hp = options._h_coeffs, rvdist.raw_moment_hp
+
+    def counted_h(g):
+        h_calls.append(len(g))
+        return h_coeffs(g)
+
+    def counted_sum(rm, cfg, c_hp, ell, dps):
+        sums.append(ell)
+        return raw_moment_hp(rm, cfg, c_hp, ell, dps)
+
+    monkeypatch.setattr(rvdist, "MPMATH", rvdist.MPMATH._replace(dot=dot))
+    monkeypatch.setattr(options, "_h_coeffs", counted_h)
+    monkeypatch.setattr(rvdist, "raw_moment_hp", counted_sum)
+    lm, out = _price_smile(_SMILE_N52)
+    k_max = len(lm._c_hp) - 1
+    assert k_max > 80  # the volatility moments extended the list
+    assert sorted(rows) == list(range(1, k_max + 1))
+    assert h_calls == [41, 41]
+    assert len(sums) == len(set(sums)) == len(lm._hp_cache)
+
+
+def test_ncchi_moments_is_frozen():
+    nm = NcchiMoments(9.0, 0.8, 0.05, sigma=0.05, T=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nm.sigma = 0.06
+    assert NcchiMoments(9.0, 0.8, 0.05, 0.05, 1.0) == nm

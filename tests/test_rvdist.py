@@ -515,8 +515,29 @@ def test_coeffs_hp_edges():
 
 
 def test_coeffs_hp_prefix_is_stable():
-    # LaguerreMoments rebuilds the list on each doubling of K and relies on
-    # the orders it already had keeping their values
+    # LaguerreMoments continues its list rather than rebuild it, and relies
+    # on the orders it already has keeping their values at a larger K
     _, _, rm = make_instance(n_obs=252)
     for cfg in _hp_configs(rm, 25):
         assert rvdist.coeffs_hp(rm, cfg, 80, 60)[:41] == rvdist.coeffs_hp(rm, cfg, 40, 60)
+
+
+def test_coeffs_hp_continues_a_prefix():
+    # LaguerreMoments extends its list in place: the orders beyond a prefix
+    # must equal those of one build to the full order, bit for bit
+    _, _, rm = make_instance(sigma=0.08, kappa=1.5, n_obs=252)
+    cfg = _cfg(rm)
+    prefix = rvdist.coeffs_hp(rm, cfg, 80, dps=90)
+    assert rvdist.coeffs_hp(rm, cfg, 640, 90, prefix) == rvdist.coeffs_hp(rm, cfg, 640, 90)
+
+
+def test_raw_moment_hp_takes_any_iterable(example_instance):
+    _, _, rm = example_instance
+    cfg = _cfg(rm)
+    c_hp = rvdist.coeffs_hp(rm, cfg, 80, dps=40)
+    for ell in (0.5, 2.0, 2.5):
+        value, converged = rvdist.raw_moment_hp(rm, cfg, c_hp, ell, dps=40)
+        assert converged
+        assert rvdist.raw_moment_hp(rm, cfg, iter(c_hp), ell, dps=40) == (value, True)
+    # a fractional order runs out of five coefficients before it stagnates
+    assert not rvdist.raw_moment_hp(rm, cfg, c_hp[:5], 0.5, dps=40)[1]

@@ -11,7 +11,6 @@ from scipy.special import eval_genlaguerre, gammaln
 from volswap import rvdist
 from volswap.errors import DomainError, NoConvergence
 from volswap.specfun import (
-    FLOAT,
     SeriesResult,
     gamma_ratio,
     kummer_1f1,
@@ -64,7 +63,7 @@ def test_2f1_vol_strike_parameters_vs_high_precision():
     cfg = rvdist.ExpansionConfig.defaults(rm, k_max=k_max)
     p = mpm.mpf(rm.nu) / 2
     for ell in (0.5, 1.5):
-        terms = list(rvdist._moment_terms(FLOAT, rm, cfg, np.ones(k_max + 1), ell))
+        terms = list(rvdist._moment_terms(rm, cfg, np.ones(k_max + 1), ell))
         for k, term in enumerate(terms):
             with mpm.workdps(50):
                 ref = float(mpm.hyp2f1(-k, p + ell, p, 1))
