@@ -132,7 +132,9 @@ class LaguerreMoments:
     summed once, drawing coefficients until it stagnates at working
     precision (integer orders terminate at k = ell, fractional orders
     converge through coefficient decay).  When the list runs out it is
-    continued by a quarter of its order (80 at first), up to ``_HP_K_CAP``.
+    continued by a quarter of its order (80 at first), up to ``_HP_K_CAP``;
+    it carries the fixed-point state of :func:`rvdist.coeffs_hp`, so each
+    continuation forms only the new power sums and coefficients.
     """
 
     def __init__(self, rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None):

@@ -29,23 +29,21 @@ model's quadratic forms, and the hypergeometric factor collapses to
 recurrence driven by power sums of xi, and a rigorous tail bound is
 available when the contraction factor zeta = max |xi_i| < 1.
 
-The coefficient recurrence is written once, over an
-:class:`~volswap.specfun.Arithmetic`: :func:`coeffs` evaluates it in double
-precision, :func:`coeffs_hp` with mpmath reals at a chosen number of digits
-for the option pricer, and can continue an earlier list instead of
-rebuilding it.  The work around the recurrence runs in fixed point for the
-high-precision path: an integer kernel with P = (working precision + 64)
-bits forms the O(K n) power and noncentral sums that feed it, and sums the
-moment series of :func:`raw_moment_hp`; each product is truncated once (an
-error below 2^-P) and each exact sum rounded once to an mpmath real.
-:func:`raw_moment` sums the same terms in double precision
-(``_moment_terms``).
+The coefficient recurrence runs in double precision in :func:`coeffs`, and
+for the option pricer in :func:`coeffs_hp`: a resumable integer kernel of
+P = (working precision + 64) bits forms the power sums, the d_j and the
+c_k, and continues an earlier list instead of rebuilding it.
+:func:`raw_moment_hp` sums the moment series in the same fixed point, and
+:func:`raw_moment` in double precision (``_moment_terms``).  Each product
+is truncated once (an error below 2^-P) and each exact sum rounded once to
+an mpmath real.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import mul
 from typing import NamedTuple
 
 import mpmath as mpm
@@ -121,28 +119,29 @@ def _ratios(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, float]
     return xi, float(np.max(np.abs(xi)))
 
 
-def _build(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, s, u, prefix=()):
-    """(c, d): c_0..c_K and d_0..d_K in the arithmetic ``ar``, K = len(s).
+def _check_weights(rm: ReturnMoments) -> None:
+    if np.any(rm.alpha_bar <= 0.0):
+        raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
+
+
+def _build(rm: ReturnMoments, cfg: ExpansionConfig, s, u):
+    """(c, d): c_0..c_K and d_0..d_K in double precision, K = len(s).
 
     c_0 = 1; for k >= 1 ``k c_k = sum_{j=1..k} d_j c_{k-j}`` with
     ``d_j = 1/2 s_j - (j / (2 beta)) U_{j-1}``, where ``s[j-1]`` is the
     power sum s_j = sum_i xi_i^j and ``u[m]`` the noncentral sum
-    U_m = sum_i delta_i alpha_bar_i xi_i^m, m = 0..K-1.  The orders in
-    ``prefix`` (c_0, c_1, ... of an earlier build from the same sums) are
-    taken as given, and the recurrence continues after them.
+    U_m = sum_i delta_i alpha_bar_i xi_i^m, m = 0..K-1.
     """
-    if np.any(rm.alpha_bar <= 0.0):
-        raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
+    _check_weights(rm)
     K = len(s)
-    beta = ar.num(cfg.beta_bar)
-    c = ar.num(np.zeros(K + 1))
-    c[0] = ar.num(1.0)
-    c[: len(prefix)] = prefix
-    d = ar.num(np.zeros(K + 1))
+    beta = cfg.beta_bar
+    c = np.zeros(K + 1)
+    c[0] = 1.0
+    d = np.zeros(K + 1)
     for j in range(1, K + 1):
         d[j] = s[j - 1] / 2 - j / (2 * beta) * u[j - 1]
-    for k in range(max(1, len(prefix)), K + 1):
-        c[k] = ar.dot(c[:k][::-1], d[1 : k + 1]) / k
+    for k in range(1, K + 1):
+        c[k] = np.dot(c[:k][::-1], d[1 : k + 1]) / k
     return c, d
 
 
@@ -157,7 +156,7 @@ def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
     for _ in range(cfg.k_max):
         xij = xij * xi
         s.append(float(np.sum(xij)))
-    c, d = _build(FLOAT, rm, cfg, s, u)
+    c, d = _build(rm, cfg, s, u)
     return ExpansionCoeffs(c=c, d=d, zeta=zeta)
 
 
@@ -351,37 +350,67 @@ def _log_abs_poch(ell: float, k: int) -> float:
     return math.lgamma(k - ell) - math.lgamma(-ell)
 
 
-def _power_sums_hp(rm: ReturnMoments, cfg: ExpansionConfig, K: int) -> tuple[list, list]:
-    """The sums of ``_build`` as mpmath reals at the working precision:
-    s_j = sum_i xi_i^j for j = 1..K and U_m = sum_i w_i xi_i^m for
-    m = 0..K-1, with w_i = delta_i alpha_bar_i.
+@dataclass
+class _HpKernel:
+    """The recurrence of ``_build`` in fixed point, resumable: every number is
+    a Python integer scaled by 2^P, P = prec + ``_GUARD_BITS``.
 
-    They are formed in fixed point, in Python integers scaled by 2^P with
-    P = prec + ``_GUARD_BITS``.  xi_i and w_i are floor(x 2^P) of the exact
-    rationals the float inputs define, each power is the previous one times
-    xi_i truncated once by ``>> P``, and every sum of integers (U_m's
-    products with w_i included) is exact until it is rounded once to an
-    mpmath real.  Each truncation errs by less than 2^-P, so the j-th power
-    of xi_i is off by about 2 j max(1, |xi_i|)^j 2^-P at most: an absolute
-    error, which leaves s_j within 2 n j 2^-64 units of 2^-prec when every
+    ``x`` and ``w`` hold floor(xi_i 2^P) and floor(delta_i alpha_bar_i 2^P)
+    of the exact rationals the float inputs define, ``beta`` is beta_bar as
+    an exact ratio, ``power`` holds xi_i^J for the last order J of ``d``,
+    and ``d``/``c`` hold d_0..d_J and c_0..c_K.  Each power is the previous
+    one times xi_i, truncated once by ``>> P``; every sum is exact, and each
+    d_j and c_k is truncated once, by less than 2^-P.  The j-th power of
+    xi_i is off by about 2 j max(1, |xi_i|)^j 2^-P at most, an absolute
+    error that leaves s_j within 2 n j 2^-64 units of 2^-prec when every
     |xi_i| <= 1.
     """
-    P = mpm.mp.prec + _GUARD_BITS
-    bn, bd = float(cfg.beta_bar).as_integer_ratio()
-    xs, ws = [], []
-    for a, delta in zip(rm.alpha_bar.tolist(), rm.delta_bar.tolist()):
-        an, ad = a.as_integer_ratio()
-        dn, dd = delta.as_integer_ratio()
-        xs.append(((bn * ad - an * bd) << P) // (bn * ad))  # xi_i = 1 - a_i/beta
-        ws.append((dn * an << P) // (dd * ad))  # w_i = delta_i a_i
-    x, w = np.array(xs, dtype=object), np.array(ws, dtype=object)
-    power = np.full(x.size, 1 << P, dtype=object)
-    s, u = [], []
-    for _ in range(K):
-        u.append(mpm.mpf((int(np.dot(w, power)), -2 * P)))
-        power = (power * x) >> P
-        s.append(mpm.mpf((int(power.sum()), -P)))
-    return s, u
+
+    P: int
+    beta: tuple[int, int]
+    x: list
+    w: list
+    power: list
+    d: list
+    c: list
+
+    @classmethod
+    def start(cls, rm: ReturnMoments, cfg: ExpansionConfig, P: int) -> "_HpKernel":
+        _check_weights(rm)
+        bn, bd = float(cfg.beta_bar).as_integer_ratio()
+        x, w = [], []
+        for a, delta in zip(rm.alpha_bar.tolist(), rm.delta_bar.tolist()):
+            an, ad = a.as_integer_ratio()
+            dn, dd = delta.as_integer_ratio()
+            x.append(((bn * ad - an * bd) << P) // (bn * ad))  # xi_i = 1 - a_i/beta
+            w.append((dn * an << P) // (dd * ad))  # w_i = delta_i a_i
+        return cls(P, (bn, bd), x, w, [1 << P] * len(x), [0], [1 << P])
+
+    def _power_order(self) -> None:
+        """Append d_j = s_j/2 - j U_{j-1}/(2 beta), j the next order."""
+        j, P, (bn, bd) = len(self.d), self.P, self.beta
+        u = sum(map(mul, self.w, self.power))  # U_{j-1}, scaled by 2^(2P)
+        self.power = [(p * x) >> P for p, x in zip(self.power, self.x)]
+        self.d.append((sum(self.power) >> 1) - j * bd * u // (bn << (P + 1)))
+
+    def _coeff_order(self) -> None:
+        """Append c_k = sum_{j=1..k} d_j c_{k-j} / k, k the next order."""
+        c, k = self.c, len(self.c)
+        c.append(sum(map(mul, reversed(c), self.d[1 : k + 1])) // (k << self.P))
+
+    def extend(self, K: int) -> None:
+        """Form the orders up to K that are not yet formed."""
+        while len(self.d) <= K:
+            self._power_order()
+        while len(self.c) <= K:
+            self._coeff_order()
+
+
+class _HpCoeffs(list):
+    """The list :func:`coeffs_hp` returns: mpmath reals, with the
+    ``_HpKernel`` that continues them (it may hold more orders)."""
+
+    __slots__ = ("kernel",)
 
 
 def coeffs_hp(
@@ -391,23 +420,33 @@ def coeffs_hp(
 
     The option pricer's coefficient sums cancel across tens of orders of
     magnitude, so its moment inputs must carry far more than double
-    precision end to end.  This is the recurrence of :func:`coeffs` in mpmath
-    arithmetic, with the noncentral sums U_m taken over the per-component
-    noncentralities, so that the coefficients are exact for one distribution.
-    The O(k_max n) power and noncentral sums come from an integer kernel
-    (``_power_sums_hp``): every product is truncated once, by less than
-    2^-P with P the working precision plus ``_GUARD_BITS`` bits.
+    precision end to end.  This is the recurrence of :func:`coeffs`, with the
+    noncentral sums U_m taken over the per-component noncentralities so that
+    the coefficients are exact for one distribution, run in an integer
+    kernel (``_HpKernel``) of P = prec + ``_GUARD_BITS`` bits; each c_k is
+    rounded once to an mpmath real.
 
     ``prefix``, the list of an earlier call with the same model, config and
-    ``dps``, is continued rather than rebuilt: the recurrence forms only the
-    orders beyond it, and each order equals that of a fresh build bit for bit
-    (c_k does not depend on k_max).
+    ``dps``, is continued rather than rebuilt: the kernel it carries forms
+    only the power sums and coefficients beyond its orders, and each order
+    equals that of a fresh build bit for bit (c_k does not depend on k_max).
+    The prefix itself is left unchanged.
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
     with mpm.workdps(dps):
-        s, u = _power_sums_hp(rm, cfg, k_max)
-        return list(_build(MPMATH, rm, cfg, s, u, prefix[: k_max + 1])[0])
+        P = mpm.mp.prec + _GUARD_BITS
+        if not prefix:
+            kernel = _HpKernel.start(rm, cfg, P)
+        elif prefix.kernel.P == P:  # d and c grow in place, the rest is replaced
+            kernel = replace(prefix.kernel, d=prefix.kernel.d[:], c=prefix.kernel.c[:])
+        else:
+            raise DomainError(f"prefix was built at {prefix.kernel.P} bits, not {P}")
+        kernel.extend(k_max)
+        out = _HpCoeffs(prefix[: k_max + 1])
+        out.extend(mpm.mpf((ck, -P)) for ck in kernel.c[len(out) : k_max + 1])
+        out.kernel = kernel
+        return out
 
 
 def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps: int):
@@ -420,7 +459,7 @@ def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps
     10^-(dps-5) of the partial sum) before the coefficients ran out.
 
     The terms are those of :func:`raw_moment`, summed once in fixed point as
-    in ``_power_sums_hp``: with P = prec + ``_GUARD_BITS``, each c_k is cut
+    in ``_HpKernel``: with P = prec + ``_GUARD_BITS``, each c_k is cut
     to a multiple of 2^-P, the factor (-ell)_k/(p)_k is stepped by the exact
     rational (k-1-ell)/(p+k-1) of the float inputs and truncated once per
     step, the products are summed exactly, and the sum is rounded once to an

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import mpmath as mpm
-import numpy as np
 
 from .errors import DomainError, NoConvergence
 
@@ -142,34 +141,30 @@ def laguerre_frac(a: float, b: float, x: float) -> SeriesResult:
 
 class Arithmetic(NamedTuple):
     """The numbers a formula is evaluated in: all that differs between double
-    precision and mpmath reals.  ``num`` converts a float or an ndarray,
-    ``dot`` reduces two arrays, the rest take scalars (``lgamma`` is
-    ln Gamma of a positive argument)."""
+    precision and mpmath reals.  Each takes scalars: ``num`` converts a
+    float, ``lgamma`` is ln Gamma of a positive argument."""
 
     num: Callable
     log: Callable
     exp: Callable
     lgamma: Callable
-    dot: Callable
     hyp1f1: Callable
 
 
-# Python floats (libm, as in ``math``) and float64 ndarrays.
+# Python floats (libm, as in ``math``).
 FLOAT = Arithmetic(
     num=lambda x: x,
     log=math.log,
     exp=math.exp,
     lgamma=math.lgamma,
-    dot=lambda x, y: float(np.dot(x, y)),
     hyp1f1=lambda a, b, z: kummer_1f1(a, b, z).value,
 )
 
-# mpmath reals and object ndarrays of them, used inside ``mpmath.workdps``.
+# mpmath reals, used inside ``mpmath.workdps``.
 MPMATH = Arithmetic(
-    num=np.frompyfunc(mpm.mpf, 1, 1),
+    num=mpm.mpf,
     log=mpm.log,
     exp=mpm.exp,
     lgamma=mpm.loggamma,
-    dot=mpm.fdot,
     hyp1f1=mpm.hyp1f1,
 )

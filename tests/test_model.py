@@ -308,9 +308,9 @@ def test_return_moments_scaling_guard():
 
 
 def test_coeffs_hp_scaling_guard():
-    # The O(K n) power and noncentral sums in fixed-point integers: about
-    # 0.3-0.5 s at K=640, 90 digits, N=252, where summing mpmath products one
-    # at a time takes 2.2 s.
+    # The whole recurrence (power sums, d_j and the convolution) in
+    # fixed-point integers: about 0.1 s at K=640, 90 digits, N=252, where the
+    # mpmath convolution over integer power sums took 0.4-0.5 s.
     from volswap import rvdist
 
     _, _, rm = make_instance(sigma=0.08, kappa=1.5, n_obs=252)

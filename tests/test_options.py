@@ -494,16 +494,21 @@ def test_pinned_smile_n252_messages():
 
 def test_smile_work_counts(monkeypatch):
     # One smile does each piece of strike-independent work once: every
-    # coefficient order is convolved once however often the list is
-    # extended, every moment series is summed once, and the scale and h_k
-    # are formed once per key (here one for the variance calls, one for the
-    # volatility calls).
-    rows, h_calls, sums = [], [], []
-    mp_dot = rvdist.MPMATH.dot
+    # power-sum order and every coefficient order is formed once however
+    # often the list is extended, every moment series is summed once, and
+    # the scale and h_k are formed once per key (here one for the variance
+    # calls, one for the volatility calls).
+    powers, convolutions, h_calls, sums = [], [], [], []
+    kernel = rvdist._HpKernel
+    power_order, coeff_order = kernel._power_order, kernel._coeff_order
 
-    def dot(x, y):
-        rows.append(len(x))
-        return mp_dot(x, y)
+    def counted_power(self):
+        powers.append(len(self.d))
+        power_order(self)
+
+    def counted_coeff(self):
+        convolutions.append(len(self.c))
+        coeff_order(self)
 
     h_coeffs, raw_moment_hp = options._h_coeffs, rvdist.raw_moment_hp
 
@@ -515,13 +520,15 @@ def test_smile_work_counts(monkeypatch):
         sums.append(ell)
         return raw_moment_hp(rm, cfg, c_hp, ell, dps)
 
-    monkeypatch.setattr(rvdist, "MPMATH", rvdist.MPMATH._replace(dot=dot))
+    monkeypatch.setattr(kernel, "_power_order", counted_power)
+    monkeypatch.setattr(kernel, "_coeff_order", counted_coeff)
     monkeypatch.setattr(options, "_h_coeffs", counted_h)
     monkeypatch.setattr(rvdist, "raw_moment_hp", counted_sum)
     lm, out = _price_smile(_SMILE_N52)
     k_max = len(lm._c_hp) - 1
     assert k_max > 80  # the volatility moments extended the list
-    assert sorted(rows) == list(range(1, k_max + 1))
+    assert sorted(convolutions) == list(range(1, k_max + 1))
+    assert sorted(powers) == list(range(1, k_max + 1))
     assert h_calls == [41, 41]
     assert len(sums) == len(set(sums)) == len(lm._hp_cache)
 

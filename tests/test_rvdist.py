@@ -497,6 +497,17 @@ def test_coeffs_hp_high_order_accuracy(sigma, kappa, n_obs):
         _assert_hp_close(c_hp, _coeffs_reference(rm, cfg, 320), 1e-87)
 
 
+@pytest.mark.parametrize("sigma,kappa,n_obs", [(0.096522, 3.344507, 52), (0.064606, 1.12188, 252)])
+def test_coeffs_hp_pool_accuracy_k640(sigma, kappa, n_obs):
+    # the two pool instances the option tests pin, at K=640 and 90 digits
+    # (the N=52 smile continues its list to K=590), against the 150-digit
+    # reference
+    _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+    cfg = _cfg(rm)
+    c_hp = rvdist.coeffs_hp(rm, cfg, 640, dps=90)
+    _assert_hp_close(c_hp, _coeffs_reference(rm, cfg, 640), 1e-87)
+
+
 def test_coeffs_hp_edges():
     for n_obs in (2, 3):
         _, _, rm = make_instance(n_obs=n_obs)
@@ -523,12 +534,21 @@ def test_coeffs_hp_prefix_is_stable():
 
 
 def test_coeffs_hp_continues_a_prefix():
-    # LaguerreMoments extends its list in place: the orders beyond a prefix
-    # must equal those of one build to the full order, bit for bit
+    # LaguerreMoments continues its list by a quarter of its order at a time:
+    # the orders each step adds must equal those of one build to the full
+    # order, bit for bit
     _, _, rm = make_instance(sigma=0.08, kappa=1.5, n_obs=252)
     cfg = _cfg(rm)
-    prefix = rvdist.coeffs_hp(rm, cfg, 80, dps=90)
-    assert rvdist.coeffs_hp(rm, cfg, 640, 90, prefix) == rvdist.coeffs_hp(rm, cfg, 640, 90)
+    c_hp = rvdist.coeffs_hp(rm, cfg, 80, 90)
+    while len(c_hp) <= 640:
+        c_hp = rvdist.coeffs_hp(rm, cfg, min((len(c_hp) - 1) * 5 // 4, 640), 90, c_hp)
+    assert len(c_hp) == 641
+    assert c_hp == rvdist.coeffs_hp(rm, cfg, 640, 90)
+    # a shorter list from a longer state is a fresh build's prefix, and the
+    # state only continues at the precision it was built at
+    assert rvdist.coeffs_hp(rm, cfg, 40, 90, c_hp) == rvdist.coeffs_hp(rm, cfg, 40, 90)
+    with pytest.raises(DomainError):
+        rvdist.coeffs_hp(rm, cfg, 700, 60, c_hp)
 
 
 def test_raw_moment_hp_takes_any_iterable(example_instance):
