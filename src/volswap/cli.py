@@ -17,7 +17,6 @@ that explicit flags override.  ``VOLSWAP_THREADS`` caps MC parallelism.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -45,6 +44,8 @@ def _fmt(x) -> str:
 
 
 def _meta_block(params: dict) -> list[str]:
+    import hashlib  # loads OpenSSL; only the CSV metadata needs it
+
     items = sorted((k, _fmt(v)) for k, v in params.items())
     digest = hashlib.sha256(repr(items).encode()).hexdigest()[:16]
     lines = [f"# {k}={v}" for k, v in items]

@@ -21,18 +21,15 @@ diagonal scaling it is Toeplitz except in its last row and column.  Its
 eigenvectors are sinusoids and its eigenvalues solve a secular equation with
 exactly one root in each of n known brackets (Kulkarni, Schmidt & Tsui,
 Linear Algebra Appl. 297, 1999; Yueh, Appl. Math. E-Notes 5, 2005), so the
-chi-square weights and the noncentralities cost O(1) each, O(n) in total.
-The return covariance itself is rank-1 semiseparable, so a product with it
-needs O(n) memory and log2(n) vector passes; the quadratic forms that drive
-the series coefficients (``ReturnMoments.mean_forms``) use only such
-products.
+chi-square weights and the noncentralities cost O(1) each, O(n) in total,
+and the noncentral sums of the series coefficients
+(``ReturnMoments.mean_forms``) are read from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -128,40 +125,6 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class _ReturnCovariance:
-    """Covariance Sigma of the log returns, in natural units, stored in O(n).
-
-    The diagonal is ``var_bar``; for i > j the entries are
-    Cov(r_i, r_j) = -b_j phi^(i-j-1), a rank-1 semiseparable part with
-    phi = e^{-kappa dt} and b_j = (1 - phi)(v_j - phi v_{j-1}) (v the OU
-    variance at tau_j).  ``b=None`` means independent returns (diagonal).
-    """
-
-    var_bar: np.ndarray
-    phi: float = 0.0
-    b: Optional[np.ndarray] = None
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = self.var_bar * x
-        if self.b is None:
-            return y
-        # u_i = sum_{j<=i} phi^(i-j) b_j x_j and w_i = sum_{j>=i} phi^(j-i) x_j
-        # are first-order recursions, summed by doubling: after the pass with
-        # shift k each entry holds its terms up to distance 2k - 1.  Every
-        # term carries a power of 0 <= phi < 1, so nothing can overflow.
-        u, w = self.b * x, x.copy()
-        c, k = self.phi, 1
-        while k < x.size:
-            u[k:] += c * u[:-k]
-            w[:-k] += c * w[k:]
-            c, k = c * c, 2 * k
-        # (Sigma x)_i = var_bar_i x_i - u_{i-1} - b_i w_{i+1}
-        y[1:] -= u[:-1]
-        y[:-1] -= self.b[:-1] * w[1:]
-        return y
-
-
-@dataclass(frozen=True)
 class ReturnMoments:
     """Chi-square representation of realized variance, plus reductions.
 
@@ -176,8 +139,7 @@ class ReturnMoments:
     mu_bar, var_bar : ndarray
         Mean and variance of each log return ln(S_{t_i}/S_{t_{i-1}})
         (per-interval statistics, kept for the constant-regime reductions
-        and reporting); ``var_bar`` is the diagonal of the O(n) return
-        covariance that ``mean_forms`` multiplies by.
+        and reporting).
     alpha_bar : ndarray
         Chi-square weights, in annualized variance points (x 100^2/T),
         largest first for spectral instances.
@@ -197,7 +159,7 @@ class ReturnMoments:
 
     mu_bar: np.ndarray = field(repr=False)
     alpha_bar: np.ndarray = field(repr=False)
-    _cov: _ReturnCovariance = field(repr=False, compare=False)
+    var_bar: np.ndarray = field(repr=False)
     _delta_bar: np.ndarray = field(repr=False)
     nu: int = 0
     lambda_bar: float = 0.0
@@ -207,10 +169,6 @@ class ReturnMoments:
     @property
     def delta_bar(self) -> np.ndarray:
         return self._delta_bar
-
-    @property
-    def var_bar(self) -> np.ndarray:
-        return self._cov.var_bar
 
     @property
     def eta(self) -> int:
@@ -227,26 +185,22 @@ class ReturnMoments:
         return bool(np.all(np.abs(a - a[-1]) <= rtol * abs(a[-1])))
 
     def rv_mean(self) -> float:
-        """E[RV] = sum_i alpha_bar_i (1 + delta_bar_i), avoiding eigenvectors
-        for spectral instances (the noncentral part is a quadratic form)."""
-        return float(np.sum(self.alpha_bar)) + float(self.mean_forms(1, 1.0)[0])
+        """E[RV] = sum_i alpha_bar_i (1 + delta_bar_i); the noncentral part is
+        w mu_bar^T mu_bar, w = 100^2/T, by the rotation invariance of the norm."""
+        w = 100.0**2 / self.horizon
+        return float(np.sum(self.alpha_bar)) + w * float(self.mu_bar @ self.mu_bar)
 
     def mean_forms(self, count: int, beta_bar: float) -> np.ndarray:
         """The weighted sums U_m = sum_i delta_bar_i alpha_bar_i xi_i^m for
-        m = 0..count-1, with xi_i = 1 - alpha_bar_i/beta_bar.
-
-        They equal the quadratic forms w mu_bar^T (I - w Sigma/beta_bar)^m mu_bar
-        with w = 100^2/T and Sigma the return covariance, so each order costs
-        one product with the O(n) covariance, independent of the eigenvectors.
-        """
-        w = 100.0**2 / self.horizon
+        m = 0..count-1, with xi_i = 1 - alpha_bar_i/beta_bar, in count*n flops."""
+        xi = 1 - self.alpha_bar / beta_bar
         out = np.empty(max(count, 0))
-        v = self.mu_bar
+        v = self.delta_bar * self.alpha_bar
         for m in range(count):
             if m:
-                v = v - (w / beta_bar) * (self._cov @ v)
-            out[m] = float(self.mu_bar @ v)
-        return w * out
+                v = v * xi
+            out[m] = float(np.sum(v))
+        return out
 
 
 def ou_mean(params: SchwartzParams, x0: float, t: float) -> float:
@@ -412,6 +366,7 @@ def return_moments(
     nu = n - 1
     common = dict(
         mu_bar=mu_bar,
+        var_bar=var_bar,
         nu=nu,
         lambda_bar=float(np.sum(mu_bar**2) / var_bar[-1]) if var_bar[-1] > 0 else 0.0,
         sigma_N=math.sqrt(var_bar[-1]),
@@ -421,23 +376,14 @@ def return_moments(
     if independent_increments or nu == 1:
         return ReturnMoments(
             alpha_bar=scale * var_bar,
-            _cov=_ReturnCovariance(var_bar),
             _delta_bar=_noncentralities(var_bar, mu_bar**2),
             **common,
         )
 
-    s2 = params.sigma**2 / (2.0 * kappa)
-    q = s2 * -math.expm1(-2.0 * kappa * dt)
-    # v_j - phi v_{j-1} = s2 (1 - phi)(1 + phi^(2j-1)) without the cancellation
-    # of the difference.  The leading 1 - phi is taken from the rounded phi
-    # that var_bar was built with: the quadratic forms cancel between the
-    # diagonal and the off-diagonal part, so both must round alike (an exact
-    # 1 - phi there loses about two digits once kappa dt is near 1e-5).
-    a = s2 * -math.expm1(-kappa * dt) * (1.0 + phi ** np.arange(1.0, 2.0 * nu, 2.0))
+    q = params.sigma**2 / (2.0 * kappa) * -math.expm1(-2.0 * kappa * dt)
     lam, delta = _spectral_parts(kappa * dt, q, nu, params.x0 - params.alpha)
     return ReturnMoments(
         alpha_bar=scale * lam,
-        _cov=_ReturnCovariance(var_bar, phi, (1.0 - phi) * a),
         _delta_bar=delta,
         **common,
     )
@@ -469,7 +415,7 @@ def iid_return_moments(
     return ReturnMoments(
         mu_bar=mu_bar,
         alpha_bar=(100.0**2 / horizon) * var_bar,
-        _cov=_ReturnCovariance(var_bar),
+        var_bar=var_bar,
         nu=mu_bar.size,
         lambda_bar=float(np.sum(mu_bar**2) / var_bar[-1]) if var_bar[-1] > 0 else 0.0,
         sigma_N=sigma_n,

@@ -23,9 +23,9 @@ E[RV^ell] = (2 beta_bar)^ell Gamma(p+ell)/Gamma(p) sum_k c_k
 2F1(-k, p+ell; p; p/mu0).
 
 The library evaluates the expansion at mu0 = nu/2 only, where h_i = 1,
-c_0 = 1, xi_i = 1 - alpha_bar_i/beta_bar, the noncentral sums reduce to the
-model's quadratic forms, and the hypergeometric factor collapses to
-(-ell)_k/(p)_k (Chu-Vandermonde).  The coefficients then satisfy a linear
+c_0 = 1, xi_i = 1 - alpha_bar_i/beta_bar, the noncentral sums reduce to
+U_m = sum_i delta_bar_i alpha_bar_i xi_i^m, and the hypergeometric factor
+collapses to (-ell)_k/(p)_k (Chu-Vandermonde).  The coefficients then satisfy a linear
 recurrence driven by power sums of xi, and a rigorous tail bound is
 available when the contraction factor zeta = max |xi_i| < 1.
 
@@ -148,8 +148,7 @@ def _build(rm: ReturnMoments, cfg: ExpansionConfig, s, u):
 def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
     """The expansion coefficients c_0..c_K (see ``_build``) in double
     precision, with the power sums formed by repeated products and the
-    noncentral sums U_m from the model's quadratic forms
-    (``ReturnMoments.mean_forms``)."""
+    noncentral sums U_m from ``ReturnMoments.mean_forms``."""
     u = rm.mean_forms(cfg.k_max, cfg.beta_bar)
     xi, zeta = _ratios(rm, cfg)
     s, xij = [], xi**0
@@ -282,8 +281,8 @@ def _majorant(rm: ReturnMoments, cfg: ExpansionConfig) -> _Majorant:
     """Reduce the components to the majorant's constants, once, in O(n).
 
     |1 - xi_i z| >= 1 - zeta r bounds the product.  The exponent weights
-    delta_i alpha_bar_i / beta are >= 0 and sum to S = U_0 / beta, a
-    quadratic form that needs no eigenvectors.  With every xi_i >= 0,
+    delta_i alpha_bar_i / beta are >= 0 and sum to S = U_0 / beta
+    (``ReturnMoments.mean_forms``).  With every xi_i >= 0,
     min Re z/(1 - xi z) = -r/(1 + xi r) >= -r on |z| = r, so the exponential
     is at most e^{S r/2} (``s`` = S).  A beta_bar below max alpha_bar makes
     some xi_i < 0; then |z/(1 - xi_i z)| <= r/(1 - zeta r) gives ``a`` = S.

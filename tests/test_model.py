@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -237,14 +238,20 @@ def test_spectral_matches_mpmath(sigma, kappa, n_obs):
     a_ref, d_ref = _mp_oracle(p, sch)
     np.testing.assert_allclose(rm.alpha_bar, a_ref, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(rm.delta_bar, d_ref, rtol=1e-10, atol=0.0)
+    # The noncentral sums U_m = sum_i delta_i alpha_i xi_i^m of the series;
+    # each side takes xi from its own largest weight, so xi_0 = 0 on both.
+    xi_ref = 1.0 - a_ref / a_ref.max()
+    u_ref = [float(np.sum(d_ref * a_ref * xi_ref**m)) for m in range(6)]
+    u = rm.mean_forms(6, float(rm.alpha_bar.max()))
+    np.testing.assert_allclose(u, u_ref, rtol=1e-10, atol=0.0)
 
 
-def _dense_mean_forms(cov, mu_bar, w, count, beta):
-    """U_m = w mu^T (I - w cov/beta)^m mu by dense matrix-vector products."""
+def _quadratic_forms(matvec, mu_bar, w, count, beta):
+    """U_m = w mu^T (I - w Sigma/beta)^m mu, with ``matvec(v)`` = Sigma v."""
     out, v = [], mu_bar.copy()
     for _ in range(count):
         out.append(w * float(mu_bar @ v))
-        v = v - (w / beta) * (cov @ v)
+        v = v - (w / beta) * matvec(v)
     return np.array(out)
 
 
@@ -256,8 +263,10 @@ def test_mean_forms_matches_arrays():
     da = rm.delta_bar * rm.alpha_bar
     ref = np.array([float(np.sum(da * xi**m)) for m in range(6)])
     assert np.allclose(rm.mean_forms(6, beta), ref, rtol=1e-8, atol=1e-12)
-    # The O(n) covariance products against the dense matrix, spectral and
-    # independent instances alike.
+    # The sums over the closed-form weights and noncentralities against the
+    # quadratic forms of the dense matrix, spectral and independent instances
+    # alike.  U_1.. vanish at N=2 and cancel in the dense products of the
+    # independent kappa=0.1 instances, so rounding relative to U_0 is allowed.
     for n_obs in (2, 3, 52, 1000, 2000):
         for kappa in (0.1, 5.0):
             for sigma in (0.005, 0.2):
@@ -270,14 +279,13 @@ def test_mean_forms_matches_arrays():
                 for inst, cov in pairs:
                     beta = float(inst.alpha_bar.max())
                     got = inst.mean_forms(25, beta)
-                    ref = _dense_mean_forms(cov, inst.mu_bar, w, 25, beta)
-                    np.testing.assert_allclose(got, ref, rtol=1e-10)
+                    ref = _quadratic_forms(cov.__matmul__, inst.mu_bar, w, 25, beta)
+                    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13 * ref[0])
 
 
 def test_swap_quotes_hold_no_dense_covariance():
-    # At N=5000 one dense n x n float matrix is 200 MB; the O(n) covariance
-    # and the closed-form spectrum and noncentralities need a few vectors of
-    # length n.
+    # At N=5000 one dense n x n float matrix is 200 MB; the closed-form
+    # spectrum and noncentralities need a few vectors of length n.
     from volswap import swaps
 
     tracemalloc.start()
@@ -396,14 +404,50 @@ def test_zero_variance_zero_mean_allowed():
 # ---------------------------------------------------------------------------
 
 
-def _frobenius_sq(cov):
-    """||Sigma||_F^2 of the O(n) return covariance, in O(n): column j below
-    the diagonal is -b_j phi^k, k = 0..n-2-j."""
-    n = cov.var_bar.size
+def _off_diagonal(p, sch):
+    """(phi, b) of the return covariance Sigma, stored in O(n): for i > j
+    Sigma_ij = -b_j phi^(i-j-1), with phi = e^{-kappa dt} and
+    b_j = (1 - phi)(v_j - phi v_{j-1}), v_j the OU variance at tau_j."""
+    kdt = p.kappa * sch.dt
+    phi = math.exp(-kdt)
+    # v_j - phi v_{j-1} = s2 (1 - phi)(1 + phi^(2j-1)) without the cancellation
+    # of the difference.  The leading 1 - phi is taken from the rounded phi
+    # that var_bar was built with: the quadratic forms cancel between the
+    # diagonal and the off-diagonal part, so both must round alike (an exact
+    # 1 - phi there loses about two digits once kappa dt is near 1e-5).
+    s2 = p.sigma**2 / (2.0 * p.kappa)
+    j = np.arange(1.0, sch.n_obs)
+    b = (1.0 - phi) * s2 * -math.expm1(-kdt) * (1.0 + phi ** (2.0 * j - 1.0))
+    return phi, b
+
+
+def _semiseparable_matvec(var_bar, phi, b, x):
+    """Sigma x, Sigma with diagonal var_bar and ``_off_diagonal`` parts, in
+    O(n) memory and log2(n) vector passes."""
+    y = var_bar * x
+    # u_i = sum_{j<=i} phi^(i-j) b_j x_j and w_i = sum_{j>=i} phi^(j-i) x_j
+    # are first-order recursions, summed by doubling: after the pass with
+    # shift k each entry holds its terms up to distance 2k - 1.
+    u, w = b * x, x.copy()
+    c, k = phi, 1
+    while k < x.size:
+        u[k:] += c * u[:-k]
+        w[:-k] += c * w[k:]
+        c, k = c * c, 2 * k
+    # (Sigma x)_i = var_bar_i x_i - u_{i-1} - b_i w_{i+1}
+    y[1:] -= u[:-1]
+    y[:-1] -= b[:-1] * w[1:]
+    return y
+
+
+def _frobenius_sq(var_bar, phi, b):
+    """||Sigma||_F^2 in O(n): column j below the diagonal is -b_j phi^k,
+    k = 0..n-2-j."""
+    n = var_bar.size
     m = n - 1 - np.arange(n)
-    log_phi = math.log(cov.phi)
+    log_phi = math.log(phi)
     geometric = np.expm1(2.0 * m * log_phi) / math.expm1(2.0 * log_phi)
-    return float(np.sum(cov.var_bar**2) + 2.0 * np.sum(cov.b**2 * geometric))
+    return float(np.sum(var_bar**2) + 2.0 * np.sum(b**2 * geometric))
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,15 +465,16 @@ def test_weights_property(kappa, sigma, n_obs):
     # eigenvalue sum equals the trace of the return covariance
     assert float(np.sum(a)) == pytest.approx(w * float(np.sum(rm.var_bar)), rel=1e-9)
     assert np.all(rm.delta_bar >= 0)
+    var_bar, (phi, b) = rm.var_bar, _off_diagonal(p, sch)
     if n_obs > 2:  # spectral instances; N=2 is a single independent return
         # sum of squared eigenvalues equals the squared Frobenius norm
-        frobenius = w**2 * _frobenius_sq(rm._cov)
+        frobenius = w**2 * _frobenius_sq(var_bar, phi, b)
         assert float(np.sum(a**2)) == pytest.approx(frobenius, rel=1e-10)
-    # the noncentral sums against the O(n) quadratic forms; U_1 and U_2
-    # vanish at N=2, where rounding relative to U_0 is all that is left
+    # the noncentral sums against the O(n) quadratic forms
+    # w mu^T (I - w Sigma/beta)^m mu; U_1 and U_2 vanish at N=2, where
+    # rounding relative to U_0 is all that is left
     beta = float(a[0])
-    xi = 1.0 - a / beta
-    da = rm.delta_bar * a
-    ref = [float(np.sum(da * xi**m)) for m in range(3)]
+    matvec = functools.partial(_semiseparable_matvec, var_bar, phi, b)
+    ref = _quadratic_forms(matvec, rm.mu_bar, w, 3, beta)
     got = rm.mean_forms(3, beta)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13 * ref[0])

@@ -323,7 +323,7 @@ def test_lemma_domination_randomized():
         for beta_scale in BETA_SCALES:
             cfg = _cfg(rm, beta_bar=beta_scale * base.beta_bar)
             _assert_dominated(rm, cfg)  # raises PreconditionError if uncertified
-    # spectral instances: the drift is read through mean_forms
+    # spectral instances: the drift is summed over the closed-form spectrum
     for sigma, kappa, n_obs in ((0.1, 0.5, 13), (0.05, 3.0, 52), (0.2, 0.1, 5), (0.005, 3.0, 20)):
         _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
         _assert_dominated(rm, _cfg(rm))
@@ -437,9 +437,9 @@ def test_coeffs_hp_matches_float(example_instance):
         co = rvdist.coeffs(rm, cfg)
         c_hp = rvdist.coeffs_hp(rm, cfg, 10, dps=40)
         for k in range(11):
-            # the hp path sums over the closed-form noncentralities, the float
-            # path takes the quadratic forms of mean_forms; both are exact to
-            # double-precision rounding
+            # both paths sum over the closed-form noncentralities, the hp one
+            # in fixed point and the float one in double precision; both are
+            # exact to double-precision rounding
             assert float(c_hp[k]) == pytest.approx(co.c[k], rel=1e-12, abs=1e-300)
 
 
