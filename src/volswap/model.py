@@ -335,6 +335,7 @@ def return_moments(
     Per-interval statistics (conditional on the known log price at t1)::
 
         mu_bar_i  = E[X_{t_i}] - E[X_{t_{i-1}}]
+                  = (alpha - x0) (1 - e^{-kappa dt}) e^{-kappa (t_{i-1} - t1)}
         var_bar_i = Var(t_i) + Var(t_{i-1}) - 2 Cov(t_{i-1}, t_i)
 
     By default the chi-square weights are the eigenvalues of the full return
@@ -347,14 +348,12 @@ def return_moments(
     than the true one (noticeably so for large kappa*T/N).
     """
     kappa = params.kappa
+    dt = schedule.dt
     # Times measured from t1, where the log price is known.
     tau = schedule.times - schedule.t1
-    decay = np.exp(-kappa * tau)
-    mean = decay * params.x0 + (1.0 - decay) * params.alpha
     var = params.sigma**2 / (2.0 * kappa) * -np.expm1(-2.0 * kappa * tau)
 
-    mu_bar = np.diff(mean)
-    dt = schedule.dt
+    mu_bar = (params.alpha - params.x0) * -math.expm1(-kappa * dt) * np.exp(-kappa * tau[:-1])
     phi = math.exp(-kappa * dt)
     var_bar = var[1:] + var[:-1] - 2.0 * var[:-1] * phi
     # Guard tiny negative round-off; exact formula is nonnegative.

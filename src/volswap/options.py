@@ -7,6 +7,9 @@ E[RV^{rho tau_j}], so any object able to produce raw RV moments (the
 time-varying Laguerre machinery, or the constant-regime noncentral
 chi-square closed forms) can back the pricer.  Vega in the constant regime
 differentiates the same series term by term through moment derivatives.
+Those closed forms are written once, in mpmath: ``ncchi_moment`` and
+``ncchi_moment_dsigma``, which also give the swaps' volatility strikes and
+vegas, round their value at 30 digits.
 
 Two numerical safeguards are essential and handled internally:
 
@@ -36,7 +39,7 @@ import mpmath as mpm
 from . import rvdist
 from .errors import DegenerateExponent, DomainError, InvalidConfig, NoConvergence
 from .model import ReturnMoments
-from .specfun import FLOAT, MPMATH, Arithmetic, SeriesResult, laguerre_polys
+from .specfun import SeriesResult, laguerre_polys
 
 __all__ = [
     "OptionSpec",
@@ -222,45 +225,47 @@ class NcchiMoments:
 
     def moment_hp(self, ell: float, dps: int):
         with mpm.workdps(dps):
-            return _ncchi_moment(
-                MPMATH, ell, self.eta, self.lambda_bar, self.sigma_N, self.T
-            )
+            return _ncchi_moment(ell, self.eta, self.lambda_bar, self.sigma_N, self.T)
 
     def dmoment_dsigma_hp(self, ell: float, dps: int):
         with mpm.workdps(dps):
             return _ncchi_moment_dsigma(
-                MPMATH, ell, self.eta, self.lambda_bar, self.sigma_N, self.sigma, self.T
+                ell, self.eta, self.lambda_bar, self.sigma_N, self.sigma, self.T
             )
 
 
-def _scaled_gamma_ratio(ar: Arithmetic, ell, eta, sigma_N: float, T: float, shift: int):
+# Digits of the mpmath values the double-precision moments round.
+_FLOAT_DPS = 30
+
+
+def _scaled_gamma_ratio(ell, eta, sigma_N: float, T: float, shift: int):
     """scaling^ell 2^ell Gamma(shift+ell+eta/2)/Gamma(shift+eta/2), where
     RV = scaling W for W ~ chi2_eta(lambda), scaling = 100^2 sigma_N^2 / T."""
-    scaling = 100.0**2 * ar.num(sigma_N) ** 2 / ar.num(T)
-    return scaling**ell * ar.exp(
-        ell * ar.log(2) + ar.lgamma(shift + ell + eta / 2) - ar.lgamma(shift + eta / 2)
+    scaling = 100.0**2 * mpm.mpf(sigma_N) ** 2 / mpm.mpf(T)
+    return scaling**ell * mpm.exp(
+        ell * mpm.log(2) + mpm.loggamma(shift + ell + eta / 2) - mpm.loggamma(shift + eta / 2)
     )
 
 
-def _ncchi_moment(ar: Arithmetic, ell, eta, lambda_bar, sigma_N, T):
+def _ncchi_moment(ell, eta, lambda_bar, sigma_N, T):
     if not ell > 0:
         raise DomainError(f"ncchi_moment requires ell > 0, got {ell}")
-    ell, eta, lam = ar.num(ell), ar.num(eta), ar.num(lambda_bar)
-    base = _scaled_gamma_ratio(ar, ell, eta, sigma_N, T, 0)
+    ell, eta, lam = mpm.mpf(ell), mpm.mpf(eta), mpm.mpf(lambda_bar)
+    base = _scaled_gamma_ratio(ell, eta, sigma_N, T, 0)
     if lam == 0:
         return base
-    return base * ar.exp(-lam / 2) * ar.hyp1f1(ell + eta / 2, eta / 2, lam / 2)
+    return base * mpm.exp(-lam / 2) * mpm.hyp1f1(ell + eta / 2, eta / 2, lam / 2)
 
 
-def _ncchi_moment_dsigma(ar: Arithmetic, ell, eta, lambda_bar, sigma_N, sigma, T):
-    mom = _ncchi_moment(ar, ell, eta, lambda_bar, sigma_N, T)
-    ell, eta, lam, sigma = ar.num(ell), ar.num(eta), ar.num(lambda_bar), ar.num(sigma)
+def _ncchi_moment_dsigma(ell, eta, lambda_bar, sigma_N, sigma, T):
+    mom = _ncchi_moment(ell, eta, lambda_bar, sigma_N, T)
+    ell, eta, lam, sigma = mpm.mpf(ell), mpm.mpf(eta), mpm.mpf(lambda_bar), mpm.mpf(sigma)
     if lam == 0:
         return 2 * ell / sigma * mom
     extra = (
-        _scaled_gamma_ratio(ar, ell, eta, sigma_N, T, 1)
-        * (lam * ar.exp(-lam / 2) / sigma)
-        * ar.hyp1f1(1 + ell + eta / 2, 1 + eta / 2, lam / 2)
+        _scaled_gamma_ratio(ell, eta, sigma_N, T, 1)
+        * (lam * mpm.exp(-lam / 2) / sigma)
+        * mpm.hyp1f1(1 + ell + eta / 2, 1 + eta / 2, lam / 2)
     )
     return (lam + 2 * ell) / sigma * mom - extra
 
@@ -272,7 +277,8 @@ def ncchi_moment(ell: float, eta: float, lambda_bar: float, sigma_N: float, T: f
     1F1(ell+eta/2; eta/2; lambda/2)``; the central case drops the
     exponential/hypergeometric pair.
     """
-    return _ncchi_moment(FLOAT, ell, eta, lambda_bar, sigma_N, T)
+    with mpm.workdps(_FLOAT_DPS):
+        return float(_ncchi_moment(ell, eta, lambda_bar, sigma_N, T))
 
 
 def ncchi_moment_dsigma(
@@ -289,7 +295,8 @@ def ncchi_moment_dsigma(
 
     and ``(2 ell / sigma) E[RV^ell]`` in the central case.
     """
-    return _ncchi_moment_dsigma(FLOAT, ell, eta, lambda_bar, sigma_N, sigma, T)
+    with mpm.workdps(_FLOAT_DPS):
+        return float(_ncchi_moment_dsigma(ell, eta, lambda_bar, sigma_N, sigma, T))
 
 
 def _working_dps(spec: OptionSpec) -> int:

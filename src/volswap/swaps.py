@@ -7,7 +7,9 @@ Two regimes are supported:
 * constant per-interval volatility — realized variance reduces to a single
   scaled noncentral chi-square, giving closed forms (``*_ncchi`` when the
   noncentrality is positive, ``*_central`` when it vanishes), plus analytic
-  vegas.
+  vegas.  Every volatility strike and vega is the chi-square's E[RV^{1/2}]
+  or its sigma-derivative from :func:`options.ncchi_moment`; the variance
+  strike ``sigma_N^2/T (eta+lambda_bar) 100^2`` needs no special function.
 
 Volatility strikes are quoted in volatility points (x100), variance strikes
 in variance points (x100^2).
@@ -25,7 +27,7 @@ import numpy as np
 from . import rvdist
 from .errors import DomainError, InvalidConfig, PreconditionError, RegimeError
 from .model import ReturnMoments, SchwartzParams
-from .specfun import gamma_ratio, laguerre_frac
+from .options import ncchi_moment, ncchi_moment_dsigma
 
 __all__ = [
     "Method",
@@ -90,6 +92,16 @@ def var_swap_tv(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None)
     return _tv_quote(rm, cfg, 1.0)
 
 
+def _check_constant_regime(eta: float, lambda_bar: float, sigma_N: float, T: float) -> None:
+    """Reject closed-form inputs unless finite, eta, sigma_N, T > 0, lambda_bar >= 0."""
+    if not (all(map(math.isfinite, (eta, lambda_bar, sigma_N, T)))
+            and min(eta, sigma_N, T) > 0 and lambda_bar >= 0):
+        raise DomainError(
+            "constant-regime closed forms require eta, sigma_N, T > 0 and lambda_bar >= 0, "
+            f"all finite; got eta={eta}, lambda_bar={lambda_bar}, sigma_N={sigma_N}, T={T}"
+        )
+
+
 def vol_swap_const_c(c: float, nu: float, T: float) -> SwapQuote:
     """Volatility-swap strike when every interval has common variance c:
     ``sqrt(2 c / T) * Gamma((nu+1)/2)/Gamma(nu/2) * 100``, which is
@@ -97,8 +109,8 @@ def vol_swap_const_c(c: float, nu: float, T: float) -> SwapQuote:
 
     ``c`` enters as a variance (per-interval log-return variance).
     """
-    if not (c > 0 and nu > 0 and T > 0):
-        raise DomainError("vol_swap_const_c requires c, nu, T > 0")
+    if not c > 0:
+        raise DomainError(f"vol_swap_const_c requires c > 0, got {c}")
     return replace(vol_swap_central(nu, math.sqrt(c), T), method=Method.CONSTANT_C)
 
 
@@ -110,32 +122,30 @@ def var_swap_const_c(c: float, nu: float, T: float) -> SwapQuote:
     Note the convention difference from :func:`vol_swap_const_c`, whose ``c``
     is a variance; here ``c`` plays the role of sigma_N and enters squared.
     """
-    if not (c > 0 and nu > 0 and T > 0):
-        raise DomainError("var_swap_const_c requires c, nu, T > 0")
     return replace(var_swap_ncchi(nu, 0.0, c, T), method=Method.CONSTANT_C)
 
 
 def vol_swap_ncchi(eta: float, lambda_bar: float, sigma_N: float, T: float) -> SwapQuote:
-    """Constant-regime volatility-swap strike with drift:
-    ``sigma_N sqrt(pi/(2T)) L_{1/2}^{(eta/2-1)}(-lambda_bar/2) * 100``.
-    """
+    """Constant-regime volatility-swap strike with drift, E[RV^{1/2}] =
+    ``sigma_N sqrt(pi/(2T)) L_{1/2}^{(eta/2-1)}(-lambda_bar/2) * 100``."""
+    _check_constant_regime(eta, lambda_bar, sigma_N, T)
     if not lambda_bar > 0:
         raise DomainError("vol_swap_ncchi requires lambda_bar > 0 (use vol_swap_central)")
-    lag = laguerre_frac(eta / 2.0 - 1.0, 0.5, -lambda_bar / 2.0)
-    strike = sigma_N * math.sqrt(math.pi / (2.0 * T)) * lag.value * 100.0
-    return SwapQuote(strike, Method.NCCHI_CLOSED_FORM, terms_used=lag.terms_used)
+    strike = ncchi_moment(0.5, eta, lambda_bar, sigma_N, T)
+    return SwapQuote(strike, Method.NCCHI_CLOSED_FORM, terms_used=1)
 
 
 def vol_swap_central(eta: float, sigma_N: float, T: float) -> SwapQuote:
-    """Constant-regime, zero-drift volatility-swap strike:
-    ``sigma_N sqrt(2/T) Gamma((eta+1)/2)/Gamma(eta/2) * 100``.
-    """
-    strike = sigma_N * math.sqrt(2.0 / T) * gamma_ratio((eta + 1.0) / 2.0, eta / 2.0) * 100.0
+    """Constant-regime, zero-drift volatility-swap strike E[RV^{1/2}] =
+    ``sigma_N sqrt(2/T) Gamma((eta+1)/2)/Gamma(eta/2) * 100``."""
+    _check_constant_regime(eta, 0.0, sigma_N, T)
+    strike = ncchi_moment(0.5, eta, 0.0, sigma_N, T)
     return SwapQuote(strike, Method.CENTRAL_CLOSED_FORM, terms_used=1)
 
 
 def var_swap_ncchi(eta: float, lambda_bar: float, sigma_N: float, T: float) -> SwapQuote:
     """Constant-regime variance-swap strike: ``sigma_N^2/T (eta+lambda_bar) 100^2``."""
+    _check_constant_regime(eta, lambda_bar, sigma_N, T)
     strike = sigma_N**2 / T * (eta + lambda_bar) * 100.0**2
     return SwapQuote(strike, Method.NCCHI_CLOSED_FORM, terms_used=1)
 
@@ -155,24 +165,14 @@ def _require_constant_regime(rm: ReturnMoments) -> None:
 
 
 def vega_vol_swap(rm: ReturnMoments, params: SchwartzParams) -> float:
-    """d(strike)/d(sigma) of the constant-regime volatility swap.
+    """d(strike)/d(sigma) of the constant-regime volatility swap,
+    :func:`options.ncchi_moment_dsigma` at ell = 1/2.
 
     Uses sigma_N proportional to sigma and lambda_bar proportional to
-    1/sigma^2 (interval means held fixed).
+    1/sigma^2 (interval means held fixed), so the drift term reduces the vega.
     """
     _require_constant_regime(rm)
-    sigma, T = params.sigma, rm.horizon
-    if rm.lambda_bar > 0:
-        k2 = vol_swap_ncchi(rm.eta, rm.lambda_bar, rm.sigma_N, T).strike
-        # d/dx L_{1/2}^{(a)}(x) = -L_{-1/2}^{(a+1)}(x), and the argument
-        # -lambda_bar/2 moves by +lambda_bar/sigma per unit sigma, so the
-        # drift term reduces the vega.
-        lag = laguerre_frac(rm.eta / 2.0, -0.5, -rm.lambda_bar / 2.0)
-        return (
-            k2
-            - rm.lambda_bar * rm.sigma_N * math.sqrt(math.pi / (2.0 * T)) * lag.value * 100.0
-        ) / sigma
-    return vol_swap_central(rm.eta, rm.sigma_N, T).strike / sigma
+    return ncchi_moment_dsigma(0.5, rm.eta, rm.lambda_bar, rm.sigma_N, params.sigma, rm.horizon)
 
 
 def vega_var_swap(rm: ReturnMoments, params: SchwartzParams) -> float:

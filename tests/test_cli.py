@@ -91,6 +91,33 @@ def test_price_missing_closed_form_args_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--contract", "var-swap", "--method", "central", "--eta", "-2", "--sigma-n", "0.01"),
+    ("--contract", "vol-swap", "--method", "central", "--eta", "5", "--sigma-n", "-0.01"),
+    ("--contract", "vol-swap", "--method", "ncchi", "--eta", "5", "--lambda-bar", "0.5",
+     "--sigma-n", "0.01", "--T", "0"),
+])
+def test_price_closed_form_invalid_inputs_exit_2(capsys, argv):
+    # a negative eta or sigma_N once printed a strike, and T = 0 a
+    # ZeroDivisionError traceback
+    code, out, err = run_cli(capsys, "price", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: constant-regime closed forms require")
+
+
+def test_price_ncchi_large_noncentrality(capsys):
+    # e^{-lambda/2} 1F1 overflows double precision from lambda_bar ~ 1420 on
+    code, out, _ = run_cli(
+        capsys, "price", "--contract", "vol-swap", "--method", "ncchi",
+        "--eta", "251", "--lambda-bar", "1500", "--sigma-n", "0.001",
+    )
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert rows[0][header.index("value")] == "4.1833855907901212"
+    assert rows[0][header.index("terms")] == "1"
+
+
 def test_price_option_no_convergence_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "price", "--contract", "vol-call", "--N", "52",

@@ -139,6 +139,25 @@ def test_mu_bar_two_route_agreement():
     assert np.max(np.abs(rm.mu_bar - direct) / denom) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "sigma,kappa,n_obs,horizon,t1",
+    [(0.05, 0.5, 252, 1.0, 0.0), (0.005, 3.0, 252, 1.0, 0.0),
+     (0.2, 5.0, 5000, 1.0, 0.0), (0.08, 0.1, 52, 2.0, 0.3), (0.1, 1.5, 2, 0.5, 0.0)],
+)
+def test_mu_bar_matches_mpmath(sigma, kappa, n_obs, horizon, t1):
+    # (alpha - x0)(e^{-kappa tau_{i-1}} - e^{-kappa tau_i}) at 50 digits from the
+    # double-precision alpha and x0 the model takes; differencing the grid means
+    # near 0.6 in double precision instead misses by about 1e-12.
+    p, sch, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs, horizon=horizon, t1=t1)
+    with mp.workdps(50):
+        kappa, dt = mp.mpf(p.kappa), mp.mpf(sch.dt)
+        gap = mp.mpf(p.alpha) - mp.mpf(p.x0)
+        ref = [gap * (mp.exp(-kappa * i * dt) - mp.exp(-kappa * (i + 1) * dt))
+               for i in range(n_obs - 1)]
+        ref = np.array([float(x) for x in ref])
+    np.testing.assert_allclose(rm.mu_bar, ref, rtol=1e-15, atol=0.0)
+
+
 def test_lambda_zero_when_started_at_level():
     p = SchwartzParams(s0=math.exp(0.6 - 0.1**2 / (2 * 0.5)), mu=0.6, sigma=0.1, kappa=0.5)
     sch = Schedule(t1=0.0, horizon=1.0, n_obs=10)

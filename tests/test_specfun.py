@@ -4,20 +4,11 @@ import math
 import mpmath as mpm
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
 from volswap import rvdist
-from volswap.errors import DomainError, NoConvergence
-from volswap.specfun import (
-    SeriesResult,
-    gamma_ratio,
-    kummer_1f1,
-    laguerre_frac,
-    laguerre_polys,
-    log_gamma,
-)
+from volswap.errors import DomainError
+from volswap.specfun import SeriesResult, laguerre_polys, log_gamma
 
 from conftest import constant_instance
 
@@ -45,10 +36,6 @@ def test_log_gamma_reference_accuracy():
     assert np.max(np.abs(ours - ref) / denom) < 1e-13
 
 
-def test_gamma_ratio():
-    assert gamma_ratio(4.0, 3.0) == pytest.approx(3.0, rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # terminating 2F1 at unit argument
 # ---------------------------------------------------------------------------
@@ -71,44 +58,7 @@ def test_2f1_vol_strike_parameters_vs_high_precision():
 
 
 # ---------------------------------------------------------------------------
-# Kummer 1F1
-# ---------------------------------------------------------------------------
-
-
-def test_1f1_trivials():
-    assert kummer_1f1(1.3, 2.7, 0.0).value == 1.0
-    r = kummer_1f1(2.5, 2.5, 1.7)
-    assert r.value == pytest.approx(math.exp(1.7), rel=1e-12)
-    assert r.converged
-    with pytest.raises(DomainError):
-        kummer_1f1(1.0, -2.0, 0.5)
-
-
-def test_1f1_negative_argument_oracle():
-    ours = kummer_1f1(-0.5, 1.0, -2.5)
-    ref = float(mpm.hyp1f1(-0.5, 1.0, -2.5))
-    assert ours.value == pytest.approx(ref, rel=1e-11)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    a=st.floats(-3.0, 5.0),
-    b=st.floats(0.3, 8.0),
-    z=st.floats(-10.0, 10.0),
-)
-def test_1f1_kummer_transform_consistency(a, b, z):
-    lhs = kummer_1f1(a, b, z).value
-    rhs = math.exp(z) * kummer_1f1(b - a, b, -z).value
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-def test_1f1_no_convergence_cap():
-    with pytest.raises(NoConvergence):
-        kummer_1f1(2.0, 3.0, 50.0, max_terms=5)
-
-
-# ---------------------------------------------------------------------------
-# Laguerre, integer and fractional order
+# Laguerre polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -138,41 +88,6 @@ def test_laguerre_polys_vs_scipy_grid():
                 ref = float(eval_genlaguerre(n, a, x))
                 assert abs(ours - ref) < 1e-10 * max(1.0, abs(ref))
                 assert on_grid[n][i] == ours
-
-
-def test_laguerre_frac_at_zero_identity():
-    for a in (0.0, 0.8, 1.5, 3.0):
-        r = laguerre_frac(a, 0.5, 0.0)
-        ref = math.exp(log_gamma(a + 1.5) - log_gamma(1.5) - log_gamma(a + 1.0))
-        assert r.value == pytest.approx(ref, rel=1e-12)
-    assert laguerre_frac(0.0, 0.5, 0.0).value == pytest.approx(1.0, rel=1e-12)
-
-
-def test_laguerre_frac_vs_mpmath():
-    for a, b, x in [(1.5, 0.5, -0.8), (0.5, 0.5, -2.0), (2.0, 1.5, 1.3)]:
-        ours = laguerre_frac(a, b, x)
-        ref = float(mpm.laguerre(b, a, x))
-        assert ours.value == pytest.approx(ref, rel=1e-10)
-    with pytest.raises(DomainError):
-        laguerre_frac(-1.5, 0.5, 0.0)
-    with pytest.raises(DomainError, match=r"got a=0\.5, b=-2\.0"):
-        laguerre_frac(0.5, -2.0, 0.0)
-
-
-def test_noncentral_chi_mean_two_routes():
-    # sqrt(pi/2) L_{1/2}^{(eta/2-1)}(-lam/2) vs
-    # sqrt(2) Gamma((eta+1)/2)/Gamma(eta/2) 1F1(-1/2; eta/2; -lam/2)
-    for eta in (1, 2, 5, 51):
-        for lam in (0.0, 0.3, 2.0, 10.0):
-            lhs = math.sqrt(math.pi / 2.0) * laguerre_frac(
-                eta / 2.0 - 1.0, 0.5, -lam / 2.0
-            ).value
-            rhs = (
-                math.sqrt(2.0)
-                * gamma_ratio((eta + 1) / 2.0, eta / 2.0)
-                * kummer_1f1(-0.5, eta / 2.0, -lam / 2.0).value
-            )
-            assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_series_result_float():

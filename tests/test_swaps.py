@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mpm
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import constant_instance, make_instance
 from volswap import rvdist, swaps
 from volswap.errors import DomainError, InvalidConfig, RegimeError
 from volswap.model import SchwartzParams, iid_return_moments
+from volswap.options import ncchi_moment, ncchi_moment_dsigma
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +219,68 @@ def test_zero_zeta_quote_bound_covers_closed_form():
     exact = swaps.vol_swap_ncchi(rm.eta, rm.lambda_bar, rm.sigma_N, rm.horizon).strike
     assert abs(q.strike - exact) > 0.01
     assert q.error_bound >= abs(q.strike - exact)
+
+
+# ---------------------------------------------------------------------------
+# constant-regime closed forms against 60 digits
+# ---------------------------------------------------------------------------
+
+
+def _grid(size=400, seed=0):
+    """(eta, lambda_bar, sigma_N, T, sigma) over the constant-regime range:
+    lambda_bar log-uniform on [1e-6, 3e4], sigma_N uniform on [3e-4, 0.1]."""
+    rng = np.random.default_rng(seed)
+    etas = rng.choice([1, 2, 3, 11, 51, 251, 999, 4999], size)
+    lams = 10.0 ** rng.uniform(-6.0, math.log10(3e4), size)
+    sns = rng.uniform(3e-4, 0.1, size)
+    Ts = rng.choice([0.25, 1.0, 2.0], size)
+    sigmas = rng.uniform(0.01, 0.5, size)
+    return [tuple(map(float, p)) for p in zip(etas, lams, sns, Ts, sigmas)]
+
+
+def _mp_moment_and_dsigma(ell, eta, lam, sn, T, sigma):
+    """E[RV^ell] and its sigma-derivative at 60 digits, through the Kummer
+    transform 1F1(-ell; eta/2; -lambda/2) of the library's
+    e^{-lambda/2} 1F1(ell+eta/2; eta/2; lambda/2): with
+    C = scaling^ell 2^ell Gamma(ell+eta/2)/Gamma(eta/2), scaling ~ sigma^2 and
+    lambda ~ 1/sigma^2, d/dsigma = (2 ell/sigma) C 1F1(-ell; eta/2; -lambda/2)
+    - C (2 ell/eta) (lambda/sigma) 1F1(1-ell; eta/2+1; -lambda/2)."""
+    with mpm.workdps(60):
+        ell, eta, lam, sn, T, sigma = map(mpm.mpf, (ell, eta, lam, sn, T, sigma))
+        c = (10000 * sn**2 / T) ** ell * 2**ell * mpm.gamma(ell + eta / 2) / mpm.gamma(eta / 2)
+        mom = c * mpm.hyp1f1(-ell, eta / 2, -lam / 2)
+        dmom = 2 * ell / sigma * mom - c * 2 * ell / eta * lam / sigma * mpm.hyp1f1(
+            1 - ell, eta / 2 + 1, -lam / 2
+        )
+        return float(mom), float(dmom)
+
+
+def _ulps(value, ref, scale=None):
+    assert math.isfinite(value)
+    return abs(value - ref) / math.ulp(ref if scale is None else scale)
+
+
+def test_constant_regime_strikes_and_moments_within_two_ulps():
+    for eta, lam, sn, T, _ in _grid():
+        ref, _ = _mp_moment_and_dsigma(0.5, eta, lam, sn, T, 1.0)
+        assert _ulps(swaps.vol_swap_ncchi(eta, lam, sn, T).strike, ref) <= 2
+        central, _ = _mp_moment_and_dsigma(0.5, eta, 0.0, sn, T, 1.0)
+        assert _ulps(swaps.vol_swap_central(eta, sn, T).strike, central) <= 2
+        for ell in (0.5, 1.0, 2.5):
+            ref, _ = _mp_moment_and_dsigma(ell, eta, lam, sn, T, 1.0)
+            assert _ulps(ncchi_moment(ell, eta, lam, sn, T), ref) <= 2
+
+
+def test_constant_regime_vegas_within_two_ulps_of_strike_over_sigma():
+    # At eta = 1 and large lambda_bar the derivative cancels to about
+    # e^{-lambda_bar/2} of its terms, so the error is measured against the
+    # derivative's scale 2 ell E[RV^ell]/sigma (strike/sigma at ell = 1/2).
+    for eta, lam, sn, T, sigma in _grid():
+        for ell in (0.5, 1.0, 2.5):
+            mom, ref = _mp_moment_and_dsigma(ell, eta, lam, sn, T, sigma)
+            value = ncchi_moment_dsigma(ell, eta, lam, sn, sigma, T)
+            assert _ulps(value, ref, 2 * ell * mom / sigma) <= 2
+        rm = constant_instance(eta=int(eta), lambda_bar=lam, sigma_n=sn, horizon=T)
+        params = SchwartzParams(s0=2.0, mu=0.6, sigma=sigma, kappa=0.5)
+        mom, ref = _mp_moment_and_dsigma(0.5, rm.eta, rm.lambda_bar, rm.sigma_N, T, sigma)
+        assert _ulps(swaps.vega_vol_swap(rm, params), ref, mom / sigma) <= 2
