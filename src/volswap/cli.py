@@ -30,6 +30,7 @@ from .errors import (
     DegenerateInterval,
     DomainError,
     InvalidConfig,
+    RegimeError,
     VolswapError,
 )
 from .model import Schedule, SchwartzParams, return_moments
@@ -200,6 +201,8 @@ def _price_swap(args, contract, rm) -> swaps.SwapQuote:
 
 
 def _price_call(args, contract, rm):
+    if args.method not in ("laguerre", "ncchi"):
+        raise DomainError(f"option contracts take --method laguerre or ncchi, got {args.method!r}")
     if args.strike is None:
         raise DomainError("--strike is required for option contracts")
     rho = 0.5 if contract == "vol-call" else 1.0
@@ -208,6 +211,9 @@ def _price_call(args, contract, rm):
         discount=args.discount, k_terms=args.k_terms,
     )
     if args.method == "ncchi":
+        if not rm.is_constant_regime():
+            raise RegimeError("--method ncchi requires the constant per-interval volatility "
+                              "regime; this model's weights differ (use --method laguerre)")
         mp = options.NcchiMoments(rm.eta, rm.lambda_bar, rm.sigma_N, args.sigma, args.horizon)
     else:
         cfg = rvdist.ExpansionConfig.defaults(rm, k_max=args.terms)

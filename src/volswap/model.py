@@ -23,13 +23,16 @@ exactly one root in each of n known brackets (Kulkarni, Schmidt & Tsui,
 Linear Algebra Appl. 297, 1999; Yueh, Appl. Math. E-Notes 5, 2005), so the
 chi-square weights and the noncentralities cost O(1) each, O(n) in total,
 and the noncentral sums of the series coefficients
-(``ReturnMoments.mean_forms``) are read from them.
+(``ReturnMoments.mean_forms``) are read from them.  One Newton sweep finds
+the roots; a rule on the local curvature sends the few it leaves short of
+an ulp through further steps of their own (``_spectral_parts``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -178,6 +181,11 @@ class ReturnMoments:
     def n_obs(self) -> int:
         return self.nu + 1
 
+    @cached_property
+    def _alpha_range(self) -> tuple[float, float]:
+        """(min, max) of alpha_bar, which every series quote reads."""
+        return float(np.min(self.alpha_bar)), float(np.max(self.alpha_bar))
+
     def is_constant_regime(self, rtol: float = 1e-9) -> bool:
         """True when every chi-square weight is the same, so RV reduces to a
         single noncentral chi-square with eta degrees of freedom."""
@@ -193,7 +201,7 @@ class ReturnMoments:
     def mean_forms(self, count: int, beta_bar: float) -> np.ndarray:
         """The weighted sums U_m = sum_i delta_bar_i alpha_bar_i xi_i^m for
         m = 0..count-1, with xi_i = 1 - alpha_bar_i/beta_bar, in count*n flops."""
-        xi = 1 - self.alpha_bar / beta_bar
+        xi = 1 - self.alpha_bar / beta_bar if count > 1 else None
         out = np.empty(max(count, 0))
         v = self.delta_bar * self.alpha_bar
         for m in range(count):
@@ -280,48 +288,68 @@ def _spectral_parts(
 
     the noncentrality is
     delta = (x0 - alpha)^2 (1-phi)^4 cot^2(theta/2) / (4 q E ||y||^2).
+    At the root, with s = sin(theta/2), c = cos(theta/2), d = s^2 + rho^2 c^2
+    and v = n theta - j pi, tan v = rho c/s; with 4 rho^2/(1-phi) = 2 rho (1+rho)
+    this reads 4 ||y||^2 = 2n - 1 + (1+rho)(s^2 + rho c^2)/d.
+
+    In the offset w = theta/2 - j pi/(2n) the root is the zero of
+    f(w) = arctan(rho c/s)/(2n) - w, where f' = -(d+k)/d, k = rho/(2n), and
+    f'' = 2k (1-rho^2) s c/d^2.  One vectorized Newton sweep starts each root
+    at the zero of f's quadratic Taylor model at w = 0.  A step dw leaves an
+    error of about k s c dw^2/(d (d+k)), f''/(2|f'|) dw^2, and carrying s and
+    c over it to second order one of |dw|^3/6 in the angle; a root whose sum
+    of the two is below 2^-53 of its offset is final, and the few others, at
+    the low band edge, take further steps one by one.
     """
     rho = math.tanh(0.5 * kdt)
     phi = math.exp(-kdt)
     om = -math.expm1(-kdt)  # 1 - phi
     half = 0.5 / nu
     k = rho * half
-    # Root j is theta/2 = j pi/(2n) + w with v = 2n w in (0, pi/2) solving
-    # F(v) = v - G(v) = 0, G(v) = arctan(rho cot(theta/2)).  G decreases and
-    # is convex, so F rises and is concave: a Newton step from the right of
-    # the root lands left of it, and from there the steps climb to it
-    # monotonically and quadratically.  The start is an upper bound: the
-    # root is at most G(0) and at most sqrt(2 n rho), since tan x >= x.
-    # theta/2 and pi/2 - theta/2 are formed separately so that their sines,
-    # sin(theta/2) and cos(theta/2), keep full relative accuracy at both ends
-    # of the band.
-    jh = (np.pi * half) * np.arange(nu - 1, -1, -1.0)  # descending weights
-    kh = (np.pi * half) * np.arange(1.0, nu + 1.0)  # pi/2 - j pi/(2n)
-    v_up = np.arctan2(rho * np.sin(kh), np.sin(jh))
-    w = half * np.minimum(v_up, math.sqrt(2.0 * nu * rho))
-    for _ in range(50):
-        s, c = np.sin(jh + w), np.sin(kh - w)
+    # theta/2 and pi/2 - theta/2 are formed separately so that s and c keep
+    # full relative accuracy at both ends of the band; bracket j is at n-1-j.
+    t = (np.pi * half) * np.arange(nu + 1.0)
+    jh, kh = t[nu - 1 :: -1], t[1:]
+    sin_t = np.sin(t)
+    s0, c0 = sin_t[nu - 1 :: -1], sin_t[1:]
+    rc0 = rho * c0
+    d0 = s0 * s0 + rc0 * rc0
+    f0 = half * np.arctan2(rc0, s0)
+    a = 1.0 + k / d0
+    b = (2.0 * k * (1.0 - rho * rho)) * (s0 * c0) / (d0 * d0)
+    w = 2.0 * f0 / (a + np.sqrt(a * a - 2.0 * b * f0))
+    # s0 = 0 flattens the model in the first bracket: start it at the bound
+    # tan(v) tan(v/(2n)) >= (v + v^3/3) v/(2n), v = 2n w, instead.
+    w[-1] = half * min(math.sqrt(1.5 * math.sqrt(1.0 + 8.0 * nu * rho / 3.0) - 1.5), 0.5 * math.pi)
+
+    def newton(jh, kh, w, sin, atan2):  # s, c, dw and the stop rule at w
+        s, c = sin(jh + w), sin(kh - w)
         rc = rho * c
         d = s * s + rc * rc
-        dw = (half * np.arctan2(rc, s) - w) * d / (d + k)  # -F/F', over 2n
-        w += dw
-        # The error left after a step of relative size e is about e^2/2 or
-        # less, so a step below 1e-8 w leaves less than the rounding of w.
-        if (np.abs(dw) / w).max() <= 1e-8:
-            break
-    else:
-        raise DomainError(f"secular equation did not converge (kappa dt = {kdt})")
+        h = k / (d + k)
+        f = half * atan2(rc, s) - w
+        dw = f - f * h
+        return s, c, dw, dw * dw * (h * s * c / d + abs(dw) / 6.0) <= 2.0**-53 * (w + dw)
 
-    s, c = np.sin(jh + w), np.sin(kh - w)
-    s2 = s * s
+    s, c, dw, done = newton(jh, kh, w, np.sin, np.arctan2)
+    for i in np.flatnonzero(~done).tolist():
+        ji, ki, wi, dwi = float(jh[i]), float(kh[i]), float(w[i]), float(dw[i])
+        for _ in range(50):
+            wi += dwi
+            si, ci, dwi, ok = newton(ji, ki, wi, math.sin, math.atan2)
+            if ok:
+                break
+        else:
+            raise DomainError(f"secular equation did not converge (kappa dt = {kdt})")
+        s[i], c[i], dw[i] = si, ci, dwi
+    s, c = s + dw * (c - 0.5 * s * dw), c - dw * (s + 0.5 * c * dw)
+
+    s2, c2 = s * s, c * c
     e = om * om + 4.0 * phi * s2
     # 4 q s^2/E, arranged so that rounding keeps the weights in order
     lam = 4.0 * q / (om * om / s2 + 4.0 * phi)
-    # 4 ||y||^2, with (2n-1) theta = 2 v - theta (mod 2 pi), n theta = v (mod pi)
-    v = w / half
-    sin_odd = np.sin(2.0 * (v - jh - w))
-    norm4 = (2 * nu - 1) - sin_odd / (2.0 * s * c) + 4.0 * np.sin(v) ** 2 / om
-    delta = (x0_gap * om * om) ** 2 * (c * c) / (q * s2 * e * norm4)
+    norm4 = (2 * nu - 1) + (1.0 + rho) * (s2 + rho * c2) / (s2 + (rho * rho) * c2)
+    delta = (x0_gap * om * om) ** 2 * c2 / (q * s2 * e * norm4)
     return lam, delta
 
 

@@ -97,7 +97,7 @@ class ExpansionConfig:
     @classmethod
     def defaults(cls, rm: ReturnMoments, k_max: int = DEFAULT_K_PRICING) -> "ExpansionConfig":
         """Default choice: beta_bar = max alpha_bar_i."""
-        return cls(beta_bar=float(np.max(rm.alpha_bar)), k_max=k_max)
+        return cls(beta_bar=rm._alpha_range[1], k_max=k_max)
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,12 @@ class ExpansionCoeffs:
     zeta: float
 
 
-def _ratios(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, float]:
-    """xi_i = 1 - alpha_bar_i/beta_bar and zeta = max |xi_i|."""
-    xi = 1 - rm.alpha_bar / cfg.beta_bar
-    return xi, float(np.max(np.abs(xi)))
+def _ratios(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[float, float]:
+    """zeta = max |xi_i| and min xi_i, xi_i = 1 - alpha_bar_i/beta_bar: xi_i
+    falls with alpha_bar_i, rounding included, so the extreme weights give them."""
+    lo, hi = rm._alpha_range
+    xi_min = 1 - hi / cfg.beta_bar
+    return max(abs(xi_min), abs(1 - lo / cfg.beta_bar)), xi_min
 
 
 def _check_weights(rm: ReturnMoments) -> None:
@@ -150,27 +152,28 @@ def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
     precision, with the power sums formed by repeated products and the
     noncentral sums U_m from ``ReturnMoments.mean_forms``."""
     u = rm.mean_forms(cfg.k_max, cfg.beta_bar)
-    xi, zeta = _ratios(rm, cfg)
-    s, xij = [], xi**0
-    for _ in range(cfg.k_max):
-        xij = xij * xi
+    xi = xij = 1 - rm.alpha_bar / cfg.beta_bar
+    s = []
+    for j in range(cfg.k_max):
+        if j:
+            xij = xij * xi
         s.append(float(np.sum(xij)))
     c, d = _build(rm, cfg, s, u)
-    return ExpansionCoeffs(c=c, d=d, zeta=zeta)
+    return ExpansionCoeffs(c=c, d=d, zeta=_ratios(rm, cfg)[0])
 
 
-def _check_bound_preconditions(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[np.ndarray, float]:
-    """Certify zeta < 1; returns (xi, zeta) of ``_ratios`` or raises
+def _check_bound_preconditions(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[float, float]:
+    """Certify zeta < 1; returns (zeta, min xi) of ``_ratios`` or raises
     PreconditionError."""
-    thresh = 0.5 * float(np.max(rm.alpha_bar))
+    thresh = 0.5 * rm._alpha_range[1]
     if not cfg.beta_bar > thresh:
         raise PreconditionError(
             f"bound requires beta_bar > {thresh} (half of max alpha_bar), got {cfg.beta_bar}"
         )
-    xi, zeta = _ratios(rm, cfg)
+    zeta, xi_min = _ratios(rm, cfg)
     if zeta >= 1.0:
         raise PreconditionError(f"zeta >= 1 (zeta = {zeta}); tail bound not certified")
-    return xi, zeta
+    return zeta, xi_min
 
 
 def pdf(rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, y):
@@ -287,11 +290,11 @@ def _majorant(rm: ReturnMoments, cfg: ExpansionConfig) -> _Majorant:
     is at most e^{S r/2} (``s`` = S).  A beta_bar below max alpha_bar makes
     some xi_i < 0; then |z/(1 - xi_i z)| <= r/(1 - zeta r) gives ``a`` = S.
     """
-    xi, zeta = _check_bound_preconditions(rm, cfg)
+    zeta, xi_min = _check_bound_preconditions(rm, cfg)
     drift = float(rm.mean_forms(1, cfg.beta_bar)[0]) / cfg.beta_bar
-    if float(np.min(xi)) >= 0.0:
-        return _Majorant(0.5 * xi.size, zeta, drift, 0.0)
-    return _Majorant(0.5 * xi.size, zeta, 0.0, drift)
+    if xi_min >= 0.0:
+        return _Majorant(0.5 * rm.alpha_bar.size, zeta, drift, 0.0)
+    return _Majorant(0.5 * rm.alpha_bar.size, zeta, 0.0, drift)
 
 
 def _log_coeff_bounds(maj: _Majorant, k: np.ndarray) -> np.ndarray:

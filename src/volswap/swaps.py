@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from . import rvdist
 from .errors import DomainError, InvalidConfig, PreconditionError, RegimeError
 from .model import ReturnMoments, SchwartzParams
@@ -66,7 +64,7 @@ class SwapQuote:
 def _tv_quote(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig], ell: float) -> SwapQuote:
     if cfg is None:
         cfg = rvdist.ExpansionConfig.defaults(rm)
-    if not cfg.beta_bar > 0.5 * float(np.max(rm.alpha_bar)):
+    if not cfg.beta_bar > 0.5 * rm._alpha_range[1]:
         raise InvalidConfig("requires beta_bar > max(alpha_bar)/2")
     co = rvdist.coeffs(rm, cfg)
     mom = rvdist.raw_moment(rm, cfg, co, ell)

@@ -127,6 +127,31 @@ def test_price_option_no_convergence_exit_3(capsys):
     assert "error:" in err
 
 
+_CALL_MODEL = ("--strike", "64", "--sigma", "0.08", "--kappa", "1.5", "--N", "52")
+
+
+def test_price_ncchi_call_outside_constant_regime_exit_3(capsys):
+    # The spectral weights at N=52 differ, so one noncentral chi-square
+    # misprices the call: this printed 5.1992211358352289 with exit 0, 3.6%
+    # above the converged Laguerre price 5.0201980374750876.
+    code, out, err = run_cli(
+        capsys, "price", "--contract", "var-call", "--method", "ncchi", *_CALL_MODEL
+    )
+    assert (code, out) == (3, "")
+    assert "constant per-interval volatility regime" in err
+
+
+@pytest.mark.parametrize("contract", ["var-call", "vol-call"])
+@pytest.mark.parametrize("method", ["central", "const-c"])
+def test_price_call_rejects_swap_only_methods_exit_2(capsys, contract, method):
+    # These priced by Laguerre and printed the row under the method's name.
+    code, out, err = run_cli(
+        capsys, "price", "--contract", contract, "--method", method, *_CALL_MODEL
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: option contracts take --method laguerre or ncchi, got {method!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # pdf
 # ---------------------------------------------------------------------------

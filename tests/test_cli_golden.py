@@ -36,6 +36,7 @@ COMMANDS = [
      "--lambda-bar", "100", "--sigma-n", "0.001"),
     ("price", "--contract", "var-call", "--method", "ncchi", "--strike", "64", *_MODEL),
     ("price", "--contract", "var-call", "--strike", "64", *_MODEL),
+    ("price", "--contract", "var-call", "--method", "central", "--strike", "64", *_MODEL),
     ("price", "--contract", "vol-swap", *_MODEL, "--validate-mc", "2000", "--format", "json"),
     ("pdf", "--points", "20"),
     ("bound-table", "--kappas", "0.5,3.0", "--Ks", "0,3", "--sigmas", "0.05,0.1"),

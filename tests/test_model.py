@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volswap import model
 from volswap.errors import DegenerateInterval, DomainError
 from volswap.model import (
     Schedule,
@@ -263,6 +264,76 @@ def test_spectral_matches_mpmath(sigma, kappa, n_obs):
     u_ref = [float(np.sum(d_ref * a_ref * xi_ref**m)) for m in range(6)]
     u = rm.mean_forms(6, float(rm.alpha_bar.max()))
     np.testing.assert_allclose(u, u_ref, rtol=1e-10, atol=0.0)
+
+
+def _mp_brackets(p, sch, js):
+    """Weights and noncentralities of brackets ``js`` (j = 0 holds the
+    smallest weight) at 40 digits: each root of tan(n theta) tan(theta/2) = rho
+    found by mpmath in its own bracket, then the closed forms of
+    ``model._spectral_parts`` in their trigonometric form."""
+    with mp.workdps(40):
+        kappa, sigma = mp.mpf(p.kappa), mp.mpf(p.sigma)
+        kdt = kappa * mp.mpf(sch.dt)
+        rho, phi, om = mp.tanh(kdt / 2), mp.exp(-kdt), -mp.expm1(-kdt)
+        q = sigma**2 / (2 * kappa) * -mp.expm1(-2 * kdt)
+        gap = mp.log(mp.mpf(p.s0)) - (mp.mpf(p.mu) - sigma**2 / (2 * kappa))
+        n = sch.n_obs - 1
+        weights, deltas = [], []
+        for j in js:
+            # v = n theta - j pi in (0, pi/2) solves v = arctan(rho cot(theta/2))
+            def half_angle(v):
+                return (j * mp.pi + v) / (2 * n)
+
+            v = mp.findroot(
+                lambda v: v - mp.atan2(rho * mp.cos(half_angle(v)), mp.sin(half_angle(v))),
+                (0, mp.pi / 2), solver="anderson",
+            )
+            th = 2 * half_angle(v)
+            e = om**2 + 4 * phi * mp.sin(th / 2) ** 2
+            norm2 = (2 * n - 1 - mp.sin((2 * n - 1) * th) / mp.sin(th)) / 4 + mp.sin(n * th) ** 2 / om
+            weights.append(float(4 * q * mp.sin(th / 2) ** 2 / e * 100**2 / mp.mpf(sch.horizon)))
+            deltas.append(float(gap**2 * om**4 / mp.tan(th / 2) ** 2 / (4 * q * e * norm2)))
+    return np.array(weights), np.array(deltas)
+
+
+@pytest.mark.parametrize("sigma,kappa", _CORNERS)
+@pytest.mark.parametrize("n_obs", [1000, 5000])
+def test_spectral_brackets_match_mpmath_at_intraday_n(sigma, kappa, n_obs):
+    # The dense oracle above stops at N=52.  Here each bracket is solved on
+    # its own at 40 digits: the first and last five, where the Newton start
+    # is crudest, and every 50th in between.
+    p, sch, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+    n = n_obs - 1
+    js = sorted({*range(5), *range(n - 5, n), *range(0, n, 50)})
+    a_ref, d_ref = _mp_brackets(p, sch, js)
+    idx = n - 1 - np.array(js)  # largest weight first
+    np.testing.assert_allclose(rm.alpha_bar[idx], a_ref, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(rm.delta_bar[idx], d_ref, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 1.5, 5.0])
+def test_spectral_trig_passes(monkeypatch, kappa):
+    # One Newton sweep: the sines of the bracket starts, the start's
+    # arctangent, and the sweep's two sines and one arctangent run over all
+    # n roots; the few roots the stop rule holds back take scalar steps.
+    n_obs, calls = 2000, []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+            if name not in ("sin", "cos", "arctan2"):
+                return fn
+
+            def counted(*args, **kwargs):
+                if any(np.size(a) >= n_obs - 1 for a in args):
+                    calls.append(name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(model, "np", CountingNumpy())
+    make_instance(sigma=0.08, kappa=kappa, n_obs=n_obs)
+    assert len(calls) <= 6, calls
 
 
 def _quadratic_forms(matvec, mu_bar, w, count, beta):
