@@ -296,19 +296,7 @@ def cmd_reproduce(args) -> int:
         created.append(path)
 
     try:
-        target = args.target
-        if target == "fig1":
-            _reproduce_fig1(args, write)
-        elif target == "fig2":
-            _reproduce_fig2(args, write)
-        elif target == "fig3":
-            _reproduce_fig3(args, write)
-        elif target == "fig4":
-            _reproduce_fig4(args, write)
-        elif target == "fig5":
-            _reproduce_fig5(args, write)
-        elif target == "table1":
-            _reproduce_table1(args, write)
+        _REPRODUCE[args.target](args, write)
         return 0
     except Exception:
         for path in created:
@@ -325,7 +313,7 @@ def _reproduce_fig1(args, write) -> None:
         _, _, rm = _moments(sigma=0.1, kappa=0.5, n_obs=n)
         cfg = rvdist.ExpansionConfig.defaults(rm, k_max=rvdist.DEFAULT_K_PDF)
         curves[n] = (rm, cfg, rvdist.coeffs(rm, cfg))
-        mean_max = max(mean_max, float(np.sum(rm.alpha_bar * (1 + rm.delta_bar))))
+        mean_max = max(mean_max, rm.rv_mean())
     grid = np.linspace(1e-3, 3.0 * mean_max, args.points)
     rows = []
     for y in grid:
@@ -410,6 +398,10 @@ def _reproduce_table1(args, write) -> None:
           ["kappa", "K", "sigma", "bound"], rows)
 
 
+_REPRODUCE = {"fig1": _reproduce_fig1, "fig2": _reproduce_fig2, "fig3": _reproduce_fig3,
+              "fig4": _reproduce_fig4, "fig5": _reproduce_fig5, "table1": _reproduce_table1}
+
+
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
@@ -461,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound_table)
 
     p = sub.add_parser("reproduce", help="emit reference figure/table data sets")
-    p.add_argument("target", choices=("fig1", "fig2", "fig3", "fig4", "fig5", "table1"))
+    p.add_argument("target", choices=_REPRODUCE)
     p.add_argument("--out-dir", default="reproduce-out", dest="out_dir")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=int, default=100_000)
@@ -473,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Load key=value defaults from a --config file, flags still override."""
     if "--config" not in argv:
         return argv
@@ -481,7 +473,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if idx + 1 >= len(argv):
         return argv
     path = argv[idx + 1]
-    overrides: dict[str, str] = {}
+    # As flags right after the subcommand: argparse keeps the last value of a
+    # flag, so explicit ones, which come later, override.
+    extra: list[str] = []
     try:
         for line in Path(path).read_text().splitlines():
             line = line.strip()
@@ -490,15 +484,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             if "=" not in line:
                 raise DomainError(f"malformed config line: {line!r}")
             key, value = line.split("=", 1)
-            overrides[key.strip().replace("-", "_")] = value.strip()
+            extra += ["--" + key.strip().replace("_", "-"), value.strip()]
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
-    # Insert as flags right after the subcommand so explicit flags override.
-    extra: list[str] = []
-    for key, value in overrides.items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in argv:
-            extra.extend([flag, value])
     # find the subcommand position (first non-flag token)
     for i, tok in enumerate(argv):
         if not tok.startswith("-"):
@@ -510,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except _INVALID as exc:

@@ -121,11 +121,6 @@ class Schedule:
     def times(self) -> np.ndarray:
         return self.t1 + self.dt * np.arange(self.n_obs)
 
-    @property
-    def annualization_factor(self) -> float:
-        """(N-1)/T = 1/dt."""
-        return (self.n_obs - 1) / self.horizon
-
 
 @dataclass(frozen=True)
 class ReturnMoments:
@@ -186,11 +181,12 @@ class ReturnMoments:
         """(min, max) of alpha_bar, which every series quote reads."""
         return float(np.min(self.alpha_bar)), float(np.max(self.alpha_bar))
 
-    def is_constant_regime(self, rtol: float = 1e-9) -> bool:
-        """True when every chi-square weight is the same, so RV reduces to a
-        single noncentral chi-square with eta degrees of freedom."""
+    def is_constant_regime(self) -> bool:
+        """True when every chi-square weight is the same to 1e-9 relative, so
+        RV reduces to a single noncentral chi-square with eta degrees of
+        freedom."""
         a = self.alpha_bar
-        return bool(np.all(np.abs(a - a[-1]) <= rtol * abs(a[-1])))
+        return bool(np.all(np.abs(a - a[-1]) <= 1e-9 * abs(a[-1])))
 
     def rv_mean(self) -> float:
         """E[RV] = sum_i alpha_bar_i (1 + delta_bar_i); the noncentral part is
@@ -363,8 +359,13 @@ def return_moments(
     Per-interval statistics (conditional on the known log price at t1)::
 
         mu_bar_i  = E[X_{t_i}] - E[X_{t_{i-1}}]
-                  = (alpha - x0) (1 - e^{-kappa dt}) e^{-kappa (t_{i-1} - t1)}
+                  = (alpha - x0) (1 - phi) e^{-kappa (t_{i-1} - t1)}
         var_bar_i = Var(t_i) + Var(t_{i-1}) - 2 Cov(t_{i-1}, t_i)
+                  = q + (1 - phi)^2 Var(t_{i-1})
+
+    with phi = e^{-kappa dt} and q = Var(dt), since Var(t_i) = q +
+    phi^2 Var(t_{i-1}).  Both are formed in these closed forms, free of the
+    cancellation of differencing the grid moments.
 
     By default the chi-square weights are the eigenvalues of the full return
     covariance matrix and the noncentralities come from the eigenvector-
@@ -377,15 +378,14 @@ def return_moments(
     """
     kappa = params.kappa
     dt = schedule.dt
-    # Times measured from t1, where the log price is known.
-    tau = schedule.times - schedule.t1
-    var = params.sigma**2 / (2.0 * kappa) * -np.expm1(-2.0 * kappa * tau)
-
-    mu_bar = (params.alpha - params.x0) * -math.expm1(-kappa * dt) * np.exp(-kappa * tau[:-1])
-    phi = math.exp(-kappa * dt)
-    var_bar = var[1:] + var[:-1] - 2.0 * var[:-1] * phi
-    # Guard tiny negative round-off; exact formula is nonnegative.
-    var_bar = np.maximum(var_bar, 0.0)
+    # Start times t_{i-1} of the returns, measured from t1, where the log
+    # price is known.
+    tau = schedule.times[:-1] - schedule.t1
+    om = -math.expm1(-kappa * dt)  # 1 - phi
+    mu_bar = (params.alpha - params.x0) * om * np.exp(-kappa * tau)
+    s2 = params.sigma**2 / (2.0 * kappa)
+    q = s2 * -math.expm1(-2.0 * kappa * dt)
+    var_bar = q + om * om * (s2 * -np.expm1(-2.0 * kappa * tau))
 
     T = schedule.horizon
     scale = 100.0**2 / T
@@ -407,7 +407,6 @@ def return_moments(
             **common,
         )
 
-    q = params.sigma**2 / (2.0 * kappa) * -math.expm1(-2.0 * kappa * dt)
     lam, delta = _spectral_parts(kappa * dt, q, nu, params.x0 - params.alpha)
     return ReturnMoments(
         alpha_bar=scale * lam,

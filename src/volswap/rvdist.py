@@ -36,7 +36,9 @@ c_k, and continues an earlier list instead of rebuilding it.
 :func:`raw_moment_hp` sums the moment series in the same fixed point, and
 :func:`raw_moment` in double precision (``_moment_terms``).  Each product
 is truncated once (an error below 2^-P) and each exact sum rounded once to
-an mpmath real.
+an mpmath real.  Both multiply by the front factor
+(2 beta_bar)^ell Gamma(p+ell)/Gamma(p), formed by the same expression in
+``math`` and in mpmath at the working precision.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig, NoConvergence, PreconditionError
 from .model import ReturnMoments
-from .specfun import FLOAT, MPMATH, Arithmetic, SeriesResult, laguerre_polys, log_gamma
+from .specfun import SeriesResult, laguerre_polys
 
 __all__ = [
     "ExpansionConfig",
@@ -195,18 +197,12 @@ def pdf(rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, y):
     # sum_k [k!/Gamma(p+k)] c_k L_k^{(p-1)}(x)
     acc = np.zeros_like(y_arr)
     for k, lag in zip(range(co.c.shape[0]), laguerre_polys(p - 1.0, x)):
-        weight = math.exp(log_gamma(k + 1.0) - log_gamma(p + k))
+        weight = math.exp(math.lgamma(k + 1.0) - math.lgamma(p + k))
         acc = acc + weight * co.c[k] * lag
 
     log_env = -y_arr / (2.0 * beta) + (p - 1.0) * np.log(y_arr) - p * math.log(2.0 * beta)
     out = np.exp(log_env) * acc
     return out if out.ndim else float(out)
-
-
-def _moment_front(ar: Arithmetic, rm: ReturnMoments, cfg: ExpansionConfig, ell):
-    """The moment series' common factor (2 beta)^ell Gamma(p+ell)/Gamma(p)."""
-    p, ell = ar.num(rm.nu) / 2, ar.num(ell)
-    return ar.exp(ell * ar.log(2 * ar.num(cfg.beta_bar)) + ar.lgamma(p + ell) - ar.lgamma(p))
 
 
 def _moment_terms(rm: ReturnMoments, cfg: ExpansionConfig, c, ell: float):
@@ -218,7 +214,7 @@ def _moment_terms(rm: ReturnMoments, cfg: ExpansionConfig, c, ell: float):
     form is stepped by an O(1) ratio recurrence.
     """
     p = rm.nu / 2
-    front = _moment_front(FLOAT, rm, cfg, ell)
+    front = math.exp(ell * math.log(2 * cfg.beta_bar) + math.lgamma(p + ell) - math.lgamma(p))
     hyp = 1
     for k, ck in enumerate(c):
         if k > 0:
@@ -227,14 +223,11 @@ def _moment_terms(rm: ReturnMoments, cfg: ExpansionConfig, c, ell: float):
 
 
 def raw_moment(
-    rm: ReturnMoments,
-    cfg: ExpansionConfig,
-    co: ExpansionCoeffs,
-    ell: float,
-    rel_tol: float = 1e-8,
+    rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, ell: float
 ) -> SeriesResult:
     """Raw moment E[RV^ell] for any ell > 0 from the truncated expansion
-    (terms of ``_moment_terms``)."""
+    (terms of ``_moment_terms``); converged when the last term is within
+    1e-8 of the sum."""
     if not ell > 0:
         raise DomainError(f"raw_moment requires ell > 0, got {ell}")
     total = 0.0
@@ -242,7 +235,7 @@ def raw_moment(
     for last in _moment_terms(rm, cfg, co.c, ell):
         total += last
 
-    converged = abs(last) <= rel_tol * abs(total)
+    converged = abs(last) <= 1e-8 * abs(total)
     if not converged:
         # Without a certified tail bound an inconclusive last term is an error.
         try:
@@ -495,7 +488,11 @@ def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps
                     break
             else:
                 streak = 0
-        return _moment_front(MPMATH, rm, cfg, ell) * mpm.mpf((total, -2 * P)), converged
+        # (2 beta)^ell Gamma(p+ell)/Gamma(p), as in ``_moment_terms``
+        p, ell = mpm.mpf(rm.nu) / 2, mpm.mpf(ell)
+        front = mpm.exp(ell * mpm.log(2 * mpm.mpf(cfg.beta_bar))
+                        + mpm.loggamma(p + ell) - mpm.loggamma(p))
+        return front * mpm.mpf((total, -2 * P)), converged
 
 
 def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int) -> float:
@@ -518,7 +515,7 @@ def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int
     p = rm.nu / 2.0
     log_front = ell * math.log(2.0 * cfg.beta_bar)
     # ln of the factor at order K+1; each later order adds ``step``.
-    log_f_next = _log_abs_poch(ell, K + 1) + log_gamma(p + ell) - log_gamma(p + K + 1)
+    log_f_next = _log_abs_poch(ell, K + 1) + math.lgamma(p + ell) - math.lgamma(p + K + 1)
     log_tail = -math.inf
     # The summands decay like zeta^k, so a first block of about
     # ln(1e16)/ln(1/zeta) orders usually holds the whole tail.

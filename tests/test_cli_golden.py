@@ -40,6 +40,7 @@ COMMANDS = [
     ("price", "--contract", "vol-swap", *_MODEL, "--validate-mc", "2000", "--format", "json"),
     ("pdf", "--points", "20"),
     ("bound-table", "--kappas", "0.5,3.0", "--Ks", "0,3", "--sigmas", "0.05,0.1"),
+    ("bound-table", "--spectral", "--kappas", "0.5,3.0", "--Ks", "0,3", "--sigmas", "0.05,0.1"),
     ("price", "--contract", "vol-swap", "--method", "ncchi"),
     ("price", "--contract", "var-swap", "--method", "central", "--eta", "-2",
      "--sigma-n", "0.01"),

@@ -73,7 +73,6 @@ def test_schedule_grid():
     assert abs(t[-1] - 2.25) < 1e-14
     assert np.all(np.diff(t) > 0)
     assert abs(sch.dt * (sch.n_obs - 1) - sch.horizon) < 1e-12 * sch.horizon
-    assert sch.annualization_factor == pytest.approx(1.0 / sch.dt, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,9 @@ def test_mu_bar_two_route_agreement():
 def test_mu_bar_matches_mpmath(sigma, kappa, n_obs, horizon, t1):
     # (alpha - x0)(e^{-kappa tau_{i-1}} - e^{-kappa tau_i}) at 50 digits from the
     # double-precision alpha and x0 the model takes; differencing the grid means
-    # near 0.6 in double precision instead misses by about 1e-12.
+    # near 0.6 in double precision instead misses by about 1e-12.  Likewise
+    # var_bar_i = Var(tau_i) + Var(tau_{i-1}) - 2 e^{-kappa dt} Var(tau_{i-1}),
+    # which differencing the grid variances misses by up to 6e-14 relative.
     p, sch, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs, horizon=horizon, t1=t1)
     with mp.workdps(50):
         kappa, dt = mp.mpf(p.kappa), mp.mpf(sch.dt)
@@ -156,7 +157,12 @@ def test_mu_bar_matches_mpmath(sigma, kappa, n_obs, horizon, t1):
         ref = [gap * (mp.exp(-kappa * i * dt) - mp.exp(-kappa * (i + 1) * dt))
                for i in range(n_obs - 1)]
         ref = np.array([float(x) for x in ref])
+        s2 = mp.mpf(p.sigma) ** 2 / (2 * kappa)
+        var = [s2 * -mp.expm1(-2 * kappa * i * dt) for i in range(n_obs)]
+        var_ref = np.array([float(var[i + 1] + var[i] - 2 * mp.exp(-kappa * dt) * var[i])
+                            for i in range(n_obs - 1)])
     np.testing.assert_allclose(rm.mu_bar, ref, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(rm.var_bar, var_ref, rtol=1e-15, atol=0.0)
 
 
 def test_lambda_zero_when_started_at_level():
@@ -501,13 +507,14 @@ def _off_diagonal(p, sch):
     kdt = p.kappa * sch.dt
     phi = math.exp(-kdt)
     # v_j - phi v_{j-1} = s2 (1 - phi)(1 + phi^(2j-1)) without the cancellation
-    # of the difference.  The leading 1 - phi is taken from the rounded phi
-    # that var_bar was built with: the quadratic forms cancel between the
-    # diagonal and the off-diagonal part, so both must round alike (an exact
-    # 1 - phi there loses about two digits once kappa dt is near 1e-5).
+    # of the difference.  Both factors 1 - phi are -expm1(-kappa dt), as in
+    # var_bar: the quadratic forms cancel between the diagonal and the
+    # off-diagonal part, so both must round alike (1 - phi from the rounded
+    # phi loses about a digit once kappa dt is near 1e-5).
     s2 = p.sigma**2 / (2.0 * p.kappa)
+    om = -math.expm1(-kdt)
     j = np.arange(1.0, sch.n_obs)
-    b = (1.0 - phi) * s2 * -math.expm1(-kdt) * (1.0 + phi ** (2.0 * j - 1.0))
+    b = om * s2 * om * (1.0 + phi ** (2.0 * j - 1.0))
     return phi, b
 
 

@@ -1,39 +1,14 @@
 import itertools
-import math
 
 import mpmath as mpm
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre
 
 from volswap import rvdist
-from volswap.errors import DomainError
-from volswap.specfun import SeriesResult, laguerre_polys, log_gamma
+from volswap.specfun import SeriesResult, laguerre_polys
 
 from conftest import constant_instance
-
-
-# ---------------------------------------------------------------------------
-# log_gamma
-# ---------------------------------------------------------------------------
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-    assert math.isfinite(log_gamma(171.5))
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-3.0)
-
-
-def test_log_gamma_reference_accuracy():
-    xs = np.geomspace(1e-3, 300.0, 200)
-    ours = np.array([log_gamma(x) for x in xs])
-    ref = gammaln(xs)
-    denom = np.maximum(np.abs(ref), 1.0)
-    assert np.max(np.abs(ours - ref) / denom) < 1e-13
 
 
 # ---------------------------------------------------------------------------
