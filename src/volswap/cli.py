@@ -10,8 +10,9 @@ Subcommands::
 Output is CSV (default) or JSON; CSV carries a ``#``-prefixed metadata block
 (parameters, seed, config hash, version) and 17-significant-digit values.
 Exit codes: 0 success, 2 invalid parameters, 3 convergence or precondition
-failure.  A ``--config FILE`` of flat ``key=value`` lines supplies defaults
-that explicit flags override.  ``VOLSWAP_THREADS`` caps MC parallelism.
+failure.  A ``--config FILE`` (or ``--config=FILE``) of flat ``key=value``
+lines supplies defaults that explicit flags override.  ``VOLSWAP_THREADS``
+caps MC parallelism (default: the core count).
 """
 
 from __future__ import annotations
@@ -465,14 +466,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
+def _config_path(argv: list[str]) -> str | None:
+    """The file named by ``--config FILE`` or ``--config=FILE``, if any."""
+    for i, tok in enumerate(argv):
+        if tok == "--config":
+            return argv[i + 1] if i + 1 < len(argv) else None
+        if tok.startswith("--config="):
+            return tok.partition("=")[2]
+    return None
+
+
+def _apply_config_file(argv: list[str], path: str | None) -> list[str]:
     """Load key=value defaults from a --config file, flags still override."""
-    if "--config" not in argv:
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
     # As flags right after the subcommand: argparse keeps the last value of a
     # flag, so explicit ones, which come later, override.
     extra: list[str] = []
@@ -498,8 +505,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        path = _config_path(argv)
+        args = parser.parse_args(_apply_config_file(argv, path))
+        if getattr(args, "config", None) != path:
+            # argparse also takes an abbreviated or repeated flag; load
+            # nothing but the one file it names.
+            raise DomainError(f"give --config once and in full, got {args.config!r}")
         return args.func(args)
     except _INVALID as exc:
         print(f"error: {exc}", file=sys.stderr)

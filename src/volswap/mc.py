@@ -2,10 +2,10 @@
 
 Paths use the exact Gaussian transition of the mean-reverting log price, so
 there is no discretization bias: any disagreement with the analytic pricers
-is pure sampling noise.  Draws come from counter-based Philox generators
-keyed per stream, making runs a pure function of (seed, n_streams) and
-bitwise reproducible; the ``VOLSWAP_THREADS`` environment variable caps how
-many streams run concurrently.
+is pure sampling noise.  Draws come from SFC64 generators keyed per stream,
+making runs a pure function of (seed, n_streams) and bitwise reproducible.
+Streams run on up to ``os.cpu_count()`` threads; the ``VOLSWAP_THREADS``
+environment variable lowers or raises that cap.
 """
 
 from __future__ import annotations
@@ -52,55 +52,62 @@ class McEstimate:
 
 def _max_workers(n_streams: int) -> int:
     cap = os.environ.get("VOLSWAP_THREADS")
-    if cap is not None:
-        try:
-            cap_val = int(cap)
-        except ValueError as exc:
-            raise DomainError(f"VOLSWAP_THREADS must be an integer, got {cap!r}") from exc
-        if cap_val >= 1:
-            return min(n_streams, cap_val)
-    return n_streams
+    if cap is None:
+        return min(n_streams, os.cpu_count() or 1)
+    try:
+        cap_val = int(cap)
+    except ValueError as exc:
+        raise DomainError(f"VOLSWAP_THREADS must be an integer, got {cap!r}") from exc
+    if cap_val < 1:
+        raise DomainError(f"VOLSWAP_THREADS must be >= 1, got {cap_val}")
+    return min(n_streams, cap_val)
 
 
 def _stream_rv(
-    params: SchwartzParams, schedule: Schedule, n_paths: int, seed: int, stream: int
-) -> np.ndarray:
+    params: SchwartzParams, schedule: Schedule, out: np.ndarray, seed: int, stream: int
+) -> None:
+    """Fill ``out`` with one stream's realized-variance samples, one per path."""
     rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
     )
     kappa = params.kappa
     dt = schedule.dt
-    decay = math.exp(-kappa * dt)
-    drift = params.alpha * (1.0 - decay)
+    decay_m1 = math.expm1(-kappa * dt)
+    drift = -params.alpha * decay_m1
     step_sd = math.sqrt(params.sigma**2 / (2.0 * kappa) * -math.expm1(-2.0 * kappa * dt))
 
-    x = np.full(n_paths, params.x0)
-    sumsq = np.zeros(n_paths)
+    # Each step is r = (decay - 1) x + drift + step_sd z, x += r, out += r^2,
+    # in place over three buffers of one stream's width.
+    x = np.full(out.size, params.x0)
+    z = np.empty(out.size)
+    r = np.empty(out.size)
+    out.fill(0.0)
     for _ in range(schedule.n_obs - 1):
-        x_next = x * decay + drift + step_sd * rng.standard_normal(n_paths)
-        sumsq += (x_next - x) ** 2
-        x = x_next
-    return (100.0**2 / schedule.horizon) * sumsq
+        rng.standard_normal(out=z)
+        z *= step_sd
+        np.multiply(x, decay_m1, out=r)
+        r += drift
+        r += z
+        x += r
+        np.square(r, out=r)
+        out += r
+    out *= 100.0**2 / schedule.horizon
 
 
 def simulate_rv(params: SchwartzParams, schedule: Schedule, mc: McConfig) -> np.ndarray:
     """Sample realized-variance values over n_paths exact-transition paths.
 
     Paths are partitioned across streams (extra paths go to the earliest
-    streams); the concatenation order is fixed, so output is bitwise
-    reproducible for a given (seed, n_streams).
+    streams) and each stream fills its own slice of the output in stream
+    order, so output is bitwise reproducible for a given (seed, n_streams)
+    whatever the thread count.
     """
-    base, extra = divmod(mc.n_paths, mc.n_streams)
-    counts = [base + (1 if s < extra else 0) for s in range(mc.n_streams)]
-    tasks = [(s, c) for s, c in enumerate(counts) if c > 0]
-    if len(tasks) == 1:
-        s, c = tasks[0]
-        return _stream_rv(params, schedule, c, mc.seed, s)
+    out = np.empty(mc.n_paths)
+    views = np.array_split(out, mc.n_streams)
+    tasks = [(s, view) for s, view in enumerate(views) if view.size]
     with ThreadPoolExecutor(max_workers=_max_workers(len(tasks))) as pool:
-        chunks = list(
-            pool.map(lambda t: _stream_rv(params, schedule, t[1], mc.seed, t[0]), tasks)
-        )
-    return np.concatenate(chunks)
+        list(pool.map(lambda t: _stream_rv(params, schedule, t[1], mc.seed, t[0]), tasks))
+    return out
 
 
 def estimate_swap(samples: np.ndarray, rho: float) -> McEstimate:

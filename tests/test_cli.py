@@ -266,6 +266,37 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert code3 == 0 and out_override == out_expected
 
 
+def test_config_file_equals_spelling(capsys, tmp_path):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("sigma=0.08\nkappa=1.5\nN=52\n")
+    code, out_space, _ = run_cli(
+        capsys, "price", "--contract", "var-swap", "--config", str(cfg)
+    )
+    code2, out_equals, _ = run_cli(
+        capsys, "price", "--contract", "var-swap", f"--config={cfg}"
+    )
+    code3, out_default, _ = run_cli(capsys, "price", "--contract", "var-swap")
+    assert code == 0 and code2 == 0 and code3 == 0
+    assert out_equals == out_space
+    assert "64.038394178966755" in out_equals
+    assert out_equals != out_default
+
+
+@pytest.mark.parametrize("spelling", [
+    ("--conf", "{cfg}"),
+    ("--config={cfg}", "--config", "{cfg}.other"),
+])
+def test_config_file_abbreviated_or_repeated_exit_2(capsys, tmp_path, spelling):
+    # argparse accepts both; neither may load one file and report another
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("sigma=0.08\n")
+    argv = [tok.format(cfg=cfg) for tok in spelling]
+    code, out, err = run_cli(capsys, "price", "--contract", "var-swap", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--config" in err
+
+
 def test_config_file_malformed_exit_2(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sigma 0.08\n")

@@ -119,3 +119,98 @@ def test_thread_cap_validation():
     with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": "abc"}):
         with pytest.raises(DomainError):
             mc.simulate_rv(params, schedule, cfg)
+
+
+def test_max_workers_defaults_to_core_count():
+    with mock.patch.dict(os.environ, clear=False) as env:
+        env.pop("VOLSWAP_THREADS", None)
+        with mock.patch.object(mc.os, "cpu_count", return_value=2):
+            assert mc._max_workers(100_000) == 2
+            assert mc._max_workers(1) == 1
+        with mock.patch.object(mc.os, "cpu_count", return_value=None):
+            assert mc._max_workers(8) == 1
+    with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": "3"}):
+        assert mc._max_workers(100_000) == 3
+        assert mc._max_workers(2) == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_thread_cap_below_one_rejected(cap):
+    with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": cap}):
+        with pytest.raises(DomainError):
+            mc._max_workers(4)
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_many_streams_ask_for_core_count_workers():
+    params, schedule = _setup(n_obs=3)
+    cfg = mc.McConfig(n_paths=40, seed=4, n_streams=20)
+    base = mc.simulate_rv(params, schedule, cfg)
+    _SerialPool.sizes = []
+    with mock.patch.dict(os.environ, clear=False) as env:
+        env.pop("VOLSWAP_THREADS", None)
+        with mock.patch.object(mc.os, "cpu_count", return_value=2), \
+                mock.patch.object(mc, "ThreadPoolExecutor", _SerialPool):
+            pooled = mc.simulate_rv(params, schedule, cfg)
+    assert _SerialPool.sizes == [2]
+    assert np.array_equal(base, pooled)
+
+
+@pytest.mark.parametrize("n_paths,n_streams", [(7, 3), (2, 5)])
+def test_uneven_partition(n_paths, n_streams):
+    params, schedule = _setup()
+    cfg = mc.McConfig(n_paths=n_paths, seed=13, n_streams=n_streams)
+    base = mc.simulate_rv(params, schedule, cfg)
+    assert base.shape == (n_paths,)
+    assert np.all(np.isfinite(base)) and np.all(base > 0)
+    assert np.unique(base).size == n_paths
+    for cap in ("1", "2"):
+        with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": cap}):
+            assert np.array_equal(mc.simulate_rv(params, schedule, cfg), base)
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("n_obs", [53, 253])
+def test_first_two_moments_match_exact_cumulants(n_obs, drift):
+    # RV = sum_i alpha_bar_i chi2_1(delta_bar_i) has exact cumulants
+    # k_j = 2^(j-1) (j-1)! sum_i alpha_bar_i^j (1 + j delta_bar_i); k_4 sets
+    # the standard error of the sample variance.
+    from volswap.model import return_moments
+
+    alpha = 0.6 - 0.08**2 / (2.0 * 1.5)
+    s0 = 2.0 if drift else math.exp(alpha)
+    params = SchwartzParams(s0=s0, mu=0.6, sigma=0.08, kappa=1.5)
+    assert math.isclose(params.alpha, alpha)
+    schedule = Schedule(t1=0.0, horizon=1.0, n_obs=n_obs)
+    rm = return_moments(params, schedule)
+    a, d = rm.alpha_bar, rm.delta_bar
+    if drift:
+        assert float(np.max(d)) > 1e-3
+    else:
+        assert float(np.max(d)) < 1e-20
+    k2 = 2.0 * float(np.sum(a**2 * (1.0 + 2.0 * d)))
+    k4 = 48.0 * float(np.sum(a**4 * (1.0 + 4.0 * d)))
+
+    n = 40_000
+    samples = mc.simulate_rv(params, schedule, mc.McConfig(n_paths=n, seed=11, n_streams=2))
+    mean_se = math.sqrt(k2 / n)
+    var_se = math.sqrt(k4 / n + 2.0 * k2**2 / (n - 1))
+    assert abs(float(np.mean(samples)) - rm.rv_mean()) < 4.0 * mean_se
+    assert abs(float(np.var(samples, ddof=1)) - k2) < 4.0 * var_se
