@@ -41,6 +41,8 @@ class McConfig:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_streams < 1:
             raise DomainError(f"n_streams must be >= 1, got {self.n_streams}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SchwartzParams:
     """Risk-neutral model parameters.
@@ -64,6 +69,8 @@ class SchwartzParams:
         Price volatility per square-root year (> 0).
     kappa : float
         Mean-reversion speed per year (> 0).
+
+    All four must be finite.
     """
 
     s0: float
@@ -72,6 +79,8 @@ class SchwartzParams:
     kappa: float
 
     def __post_init__(self) -> None:
+        for name in ("s0", "mu", "sigma", "kappa"):
+            _require_finite(name, getattr(self, name))
         if not self.s0 > 0:
             raise DomainError(f"s0 must be > 0, got {self.s0}")
         if not self.sigma > 0:
@@ -98,7 +107,8 @@ class Schedule:
     """Uniform observation grid t_i = t1 + (i-1)*dt, i = 1..n_obs.
 
     ``horizon`` is the length T of the window, so the last observation falls
-    at ``t1 + horizon`` and ``dt = horizon/(n_obs-1)``.
+    at ``t1 + horizon`` and ``dt = horizon/(n_obs-1)``.  Both ``t1`` and
+    ``horizon`` must be finite.
     """
 
     t1: float
@@ -106,6 +116,8 @@ class Schedule:
     n_obs: int
 
     def __post_init__(self) -> None:
+        _require_finite("t1", self.t1)
+        _require_finite("horizon", self.horizon)
         if self.t1 < 0:
             raise DomainError(f"t1 must be >= 0, got {self.t1}")
         if not self.horizon > 0:

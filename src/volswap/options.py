@@ -25,6 +25,11 @@ built once per moment provider and (price or vega, rho, a, b, k_terms,
 precision) and kept while the provider lives; a strike then costs only its
 Laguerre polynomials and front factor.  A smile on one provider pays for
 its moments and coefficients once.
+
+mpmath is imported on the first arbitrary-precision call (a price, a vega
+or a constant-regime closed form), not with this module: the swap CLI and
+the benchmark import this module for its names, and a swap series quote or
+a Monte Carlo run never needs mpmath.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
-import mpmath as mpm
-
 from . import rvdist
 from .errors import DegenerateExponent, DomainError, InvalidConfig, NoConvergence
 from .model import ReturnMoments
-from .specfun import SeriesResult, laguerre_polys
+from .specfun import MP_LOCK, DeferredMpmath, SeriesResult, laguerre_polys
+
+mpm = DeferredMpmath(globals())
 
 __all__ = [
     "OptionSpec",
@@ -146,6 +151,8 @@ class LaguerreMoments:
         self._co = rvdist.coeffs(rm, self._cfg)
         self._cache: dict[float, float] = {}
         self._lock = threading.Lock()
+        # _lock guards _cache; the high-precision state below is guarded by
+        # MP_LOCK, which all arbitrary-precision work holds.
         self._c_hp: list = []
         self._hp_dps = 0
         self._hp_cache: dict[float, tuple] = {}
@@ -178,7 +185,7 @@ class LaguerreMoments:
 
     def moment_hp(self, ell: float, dps: int):
         ell = float(ell)
-        with self._lock:
+        with MP_LOCK:
             cached = self._hp_cache.get(ell)
             if cached is not None and cached[1] >= dps:
                 return cached[0]
@@ -224,11 +231,11 @@ class NcchiMoments:
         )
 
     def moment_hp(self, ell: float, dps: int):
-        with mpm.workdps(dps):
+        with MP_LOCK, mpm.workdps(dps):
             return _ncchi_moment(ell, self.eta, self.lambda_bar, self.sigma_N, self.T)
 
     def dmoment_dsigma_hp(self, ell: float, dps: int):
-        with mpm.workdps(dps):
+        with MP_LOCK, mpm.workdps(dps):
             return _ncchi_moment_dsigma(
                 ell, self.eta, self.lambda_bar, self.sigma_N, self.sigma, self.T
             )
@@ -277,7 +284,7 @@ def ncchi_moment(ell: float, eta: float, lambda_bar: float, sigma_N: float, T: f
     1F1(ell+eta/2; eta/2; lambda/2)``; the central case drops the
     exponential/hypergeometric pair.
     """
-    with mpm.workdps(_FLOAT_DPS):
+    with MP_LOCK, mpm.workdps(_FLOAT_DPS):
         return float(_ncchi_moment(ell, eta, lambda_bar, sigma_N, T))
 
 
@@ -295,7 +302,7 @@ def ncchi_moment_dsigma(
 
     and ``(2 ell / sigma) E[RV^ell]`` in the central case.
     """
-    with mpm.workdps(_FLOAT_DPS):
+    with MP_LOCK, mpm.workdps(_FLOAT_DPS):
         return float(_ncchi_moment_dsigma(ell, eta, lambda_bar, sigma_N, sigma, T))
 
 
@@ -385,7 +392,7 @@ def dufresne_coeffs(spec: OptionSpec, mp: MomentProvider, k: int) -> float:
     if k < 0:
         raise DomainError(f"dufresne_coeffs requires k >= 0, got {k}")
     dps = max(_working_dps(spec), 40 + k)
-    with mpm.workdps(dps):
+    with MP_LOCK, mpm.workdps(dps):
         ingredients = [mp.moment_hp(spec.rho_tau(j), dps) for j in range(k + 1)]
         *_, h_k = _h_coeffs(_inner_coeffs(spec, ingredients))
         return float(h_k)
@@ -427,7 +434,7 @@ def call_price(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> 
     renormalization of RV^rho, which leaves the value unchanged).
     """
     dps = _working_dps(spec)
-    with mpm.workdps(dps):
+    with MP_LOCK, mpm.workdps(dps):
         result = _series_hp(spec, *_strike_free_series("price", spec, mp, dps), rel_tol)
     if not result.converged:
         raise NoConvergence(
@@ -446,7 +453,7 @@ def vega_call(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> S
     differentiating the moments term by term is exact.
     """
     dps = _working_dps(spec)
-    with mpm.workdps(dps):
+    with MP_LOCK, mpm.workdps(dps):
         result = _series_hp(spec, *_strike_free_series("vega", spec, mp, dps), rel_tol)
     if not result.converged:
         raise NoConvergence(

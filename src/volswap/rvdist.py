@@ -39,6 +39,11 @@ is truncated once (an error below 2^-P) and each exact sum rounded once to
 an mpmath real.  Both multiply by the front factor
 (2 beta_bar)^ell Gamma(p+ell)/Gamma(p), formed by the same expression in
 ``math`` and in mpmath at the working precision.
+
+mpmath is imported on the first call of :func:`coeffs_hp` or
+:func:`raw_moment_hp`, not with this module: the swap quotes and the Monte
+Carlo oracle run in double precision only, and every ``import volswap``
+would otherwise pay for loading it.
 """
 
 from __future__ import annotations
@@ -48,12 +53,13 @@ from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import NamedTuple
 
-import mpmath as mpm
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, NoConvergence, PreconditionError
 from .model import ReturnMoments
-from .specfun import SeriesResult, laguerre_polys
+from .specfun import MP_LOCK, DeferredMpmath, SeriesResult, laguerre_polys
+
+mpm = DeferredMpmath(globals())
 
 __all__ = [
     "ExpansionConfig",
@@ -429,7 +435,7 @@ def coeffs_hp(
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
-    with mpm.workdps(dps):
+    with MP_LOCK, mpm.workdps(dps):
         P = mpm.mp.prec + _GUARD_BITS
         if not prefix:
             kernel = _HpKernel.start(rm, cfg, P)
@@ -464,7 +470,7 @@ def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps
     """
     if not ell > 0:
         raise DomainError(f"raw_moment_hp requires ell > 0, got {ell}")
-    with mpm.workdps(dps):
+    with MP_LOCK, mpm.workdps(dps):
         P = mpm.mp.prec + _GUARD_BITS
         en, ed = float(ell).as_integer_ratio()
         pn, pd = (rm.nu / 2).as_integer_ratio()

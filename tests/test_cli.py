@@ -106,6 +106,33 @@ def test_price_closed_form_invalid_inputs_exit_2(capsys, argv):
     assert err.startswith("error: constant-regime closed forms require")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--contract", "var-swap", "--mu", "nan"),
+    ("--contract", "var-swap", "--S0", "inf"),
+    ("--contract", "vol-swap", "--mu", "nan"),
+    ("--contract", "vol-swap", "--t1", "nan"),
+])
+def test_price_non_finite_model_input_exit_2(capsys, argv):
+    # --mu nan once printed nan with bound 0 and exit 0 for a variance swap,
+    # and exit 3 with a term-cap message for a volatility swap
+    code, out, err = run_cli(capsys, "price", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("price", "--contract", "var-swap", "--validate-mc", "100", "--seed", "-1"),
+    ("reproduce", "fig3", "--paths", "100", "--seed", "-2"),
+])
+def test_negative_seed_exit_2(capsys, tmp_path, monkeypatch, argv):
+    # numpy's "expected non-negative integer" traceback once ended these
+    monkeypatch.chdir(tmp_path)  # reproduce makes its output directory first
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == "error: seed must be >= 0, got " + argv[-1] + "\n"
+
+
 def test_price_ncchi_large_noncentrality(capsys):
     # e^{-lambda/2} 1F1 overflows double precision from lambda_bar ~ 1420 on
     code, out, _ = run_cli(

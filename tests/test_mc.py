@@ -21,6 +21,8 @@ def test_config_validation():
         mc.McConfig(n_paths=0, seed=1)
     with pytest.raises(DomainError):
         mc.McConfig(n_paths=10, seed=1, n_streams=0)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        mc.McConfig(n_paths=10, seed=-1)
 
 
 def test_bitwise_determinism():

@@ -43,6 +43,15 @@ def test_params_rejects_nonpositive(kwargs):
         SchwartzParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["s0", "mu", "sigma", "kappa"])
+def test_params_rejects_non_finite(field, value):
+    # mu = nan once priced a variance swap at nan with bound 0
+    kwargs = dict(s0=2.0, mu=0.6, sigma=0.1, kappa=0.5) | {field: value}
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        SchwartzParams(**kwargs)
+
+
 def test_kappa_zero_message_names_limitation():
     with pytest.raises(DomainError, match="Brownian"):
         SchwartzParams(s0=2.0, mu=0.6, sigma=0.1, kappa=0.0)
@@ -63,6 +72,14 @@ def test_alpha_identity():
 )
 def test_schedule_rejects_invalid(kwargs):
     with pytest.raises(DomainError):
+        Schedule(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["t1", "horizon"])
+def test_schedule_rejects_non_finite(field, value):
+    kwargs = dict(t1=0.0, horizon=1.0, n_obs=5) | {field: value}
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
         Schedule(**kwargs)
 
 
