@@ -13,18 +13,20 @@ Run:  python3 demos/03_options.py
 
 import numpy as np
 
-from volswap import mc, options, rvdist
+from volswap import mc, options, rvdist, swaps
 from volswap.model import Schedule, SchwartzParams, return_moments
 
 params = SchwartzParams(s0=2.0, mu=1.0, sigma=0.05, kappa=0.5)
 schedule = Schedule(t1=0.0, horizon=1.0, n_obs=52)
 rm = return_moments(params, schedule)
 
-# the moment provider feeds E[RV^ell] to the option expansion; here the
-# general time-varying backend (arbitrary precision internally)
-lmom = options.LaguerreMoments(rm, rvdist.ExpansionConfig.defaults(rm, k_max=25))
-e_rv = lmom.moment(1.0)
-e_vol = lmom.moment(0.5)
+# the moment provider feeds E[RV^ell], in arbitrary precision, to the option
+# expansion; here the general time-varying backend.  The strikes are set on
+# the swap strikes E[RV] and E[sqrt(RV)] of a 25-term series.
+lmom = options.LaguerreMoments(rm)
+cfg = rvdist.ExpansionConfig.defaults(rm, k_max=25)
+e_rv = swaps.var_swap_tv(rm, cfg).strike
+e_vol = swaps.vol_swap_tv(rm, cfg).strike
 print(f"E[RV]       = {e_rv:.4f} variance points")
 print(f"E[sqrt(RV)] = {e_vol:.4f} volatility points")
 
@@ -57,7 +59,7 @@ for frac in (0.8, 1.0, 1.1):
 eta, lam, sigma, T = 26, 0.9, 0.08, 1.0
 sigma_n = sigma * np.sqrt(T / eta)
 nm = options.NcchiMoments(eta, lam, sigma_n, sigma, T)
-spec = options.OptionSpec(rho=1.0, strike=nm.moment(1.0))
+spec = options.OptionSpec(rho=1.0, strike=options.ncchi_moment(1.0, eta, lam, sigma_n, T))
 price = options.call_price(spec, nm).value
 vega = options.vega_call(spec, nm).value
 print(f"\nconstant-regime ATM variance call: price = {price:.4f}, "

@@ -94,9 +94,12 @@ def _model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", type=float, default=d["kappa"])
     p.add_argument("--N", type=int, default=d["n_obs"], dest="n_obs")
     p.add_argument("--T", type=float, default=d["horizon"], dest="horizon")
-    p.add_argument("--t1", type=float, default=d["t1"])
+    p.add_argument("--t1", type=float, default=d["t1"],
+                   help="first observation time; returns are measured from it, "
+                        "so no quote depends on it")
     p.add_argument("--terms", type=int, default=rvdist.DEFAULT_K_PRICING,
-                   help="Laguerre truncation order K")
+                   help="Laguerre truncation order K of series swap quotes and "
+                        "pdf; bound-table reads --Ks and calls --k-terms instead")
 
 
 def _common_args(p: argparse.ArgumentParser) -> None:
@@ -217,8 +220,7 @@ def _price_call(args, contract, rm):
                               "regime; this model's weights differ (use --method laguerre)")
         mp = options.NcchiMoments(rm.eta, rm.lambda_bar, rm.sigma_N, args.sigma, args.horizon)
     else:
-        cfg = rvdist.ExpansionConfig.defaults(rm, k_max=args.terms)
-        mp = options.LaguerreMoments(rm, cfg)
+        mp = options.LaguerreMoments(rm)
     return options.call_price(spec, mp)
 
 

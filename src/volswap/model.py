@@ -193,6 +193,11 @@ class ReturnMoments:
         """(min, max) of alpha_bar, which every series quote reads."""
         return float(np.min(self.alpha_bar)), float(np.max(self.alpha_bar))
 
+    @cached_property
+    def _delta_alpha(self) -> np.ndarray:
+        """delta_bar_i alpha_bar_i, the weights of the noncentral sums U_m."""
+        return self.delta_bar * self.alpha_bar
+
     def is_constant_regime(self) -> bool:
         """True when every chi-square weight is the same to 1e-9 relative, so
         RV reduces to a single noncentral chi-square with eta degrees of
@@ -211,7 +216,7 @@ class ReturnMoments:
         m = 0..count-1, with xi_i = 1 - alpha_bar_i/beta_bar, in count*n flops."""
         xi = 1 - self.alpha_bar / beta_bar if count > 1 else None
         out = np.empty(max(count, 0))
-        v = self.delta_bar * self.alpha_bar
+        v = self._delta_alpha
         for m in range(count):
             if m:
                 v = v * xi

@@ -3,13 +3,15 @@
 Prices come from a Laguerre-type expansion of E[(Y - K)^+] for Y = RV^rho:
 writing tau_j = a - b + j + 2, the expansion coefficients are finite
 alternating combinations of the fractional moments E[Y^{tau_j}] =
-E[RV^{rho tau_j}], so any object able to produce raw RV moments (the
-time-varying Laguerre machinery, or the constant-regime noncentral
-chi-square closed forms) can back the pricer.  Vega in the constant regime
-differentiates the same series term by term through moment derivatives.
-Those closed forms are written once, in mpmath: ``ncchi_moment`` and
-``ncchi_moment_dsigma``, which also give the swaps' volatility strikes and
-vegas, round their value at 30 digits.
+E[RV^{rho tau_j}].  A moment provider serves those raw RV moments as mpmath
+values at a requested precision: ``LaguerreMoments`` from the realized-
+variance series for any weights, ``NcchiMoments`` from the constant-regime
+noncentral chi-square closed form, which also serves the sigma-derivatives
+that vega differentiates the same series through.  Those closed forms are
+written once, in mpmath: ``ncchi_moment`` and ``ncchi_moment_dsigma``, which
+also give the swaps' volatility strikes and vegas, round their value at 30
+digits.  A double-precision E[RV] or E[sqrt(RV)] for the time-varying
+regime is the strike of ``swaps.var_swap_tv`` or ``swaps.vol_swap_tv``.
 
 Two numerical safeguards are essential and handled internally:
 
@@ -34,10 +36,9 @@ a Monte Carlo run never needs mpmath.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Protocol
 
 from . import rvdist
 from .errors import DegenerateExponent, DomainError, InvalidConfig, NoConvergence
@@ -53,7 +54,6 @@ __all__ = [
     "NcchiMoments",
     "ncchi_moment",
     "ncchi_moment_dsigma",
-    "dufresne_coeffs",
     "call_price",
     "vega_call",
 ]
@@ -113,19 +113,14 @@ class OptionSpec:
 
 
 class MomentProvider(Protocol):
-    """Source of raw moments E[RV^ell] (and optionally their sigma-derivatives).
+    """Source of raw moments E[RV^ell] (and optionally their sigma-derivatives)
+    for the option pricer.
 
-    ``moment``/``dmoment_dsigma`` are the double-precision interface;
-    ``moment_hp``/``dmoment_dsigma_hp`` return mpmath values computed with
-    at least ``dps`` decimal digits and feed the option pricer, whose
-    coefficient cancellation destroys double-precision inputs.  The pricer
-    keeps the series it builds from a provider's moments for the provider's
-    life, so those moments must not change.
+    Both return mpmath values computed with at least ``dps`` decimal digits:
+    the pricer's coefficient cancellation destroys double-precision inputs.
+    The pricer keeps the series it builds from a provider's moments for the
+    provider's life, so those moments must not change.
     """
-
-    def moment(self, ell: float) -> float: ...
-
-    def dmoment_dsigma(self, ell: float) -> float: ...
 
     def moment_hp(self, ell: float, dps: int): ...
 
@@ -142,33 +137,17 @@ class LaguerreMoments:
     converge through coefficient decay).  When the list runs out it is
     continued by a quarter of its order (80 at first), up to ``_HP_K_CAP``;
     it carries the fixed-point state of :func:`rvdist.coeffs_hp`, so each
-    continuation forms only the new power sums and coefficients.
+    continuation forms only the new power sums and coefficients.  The
+    envelope scale beta_bar is the default, max alpha_bar.  The state is
+    guarded by ``MP_LOCK``, which all arbitrary-precision work holds.
     """
 
-    def __init__(self, rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None):
+    def __init__(self, rm: ReturnMoments):
         self._rm = rm
-        self._cfg = cfg if cfg is not None else rvdist.ExpansionConfig.defaults(rm)
-        self._co = rvdist.coeffs(rm, self._cfg)
-        self._cache: dict[float, float] = {}
-        self._lock = threading.Lock()
-        # _lock guards _cache; the high-precision state below is guarded by
-        # MP_LOCK, which all arbitrary-precision work holds.
+        self._cfg = rvdist.ExpansionConfig.defaults(rm)
         self._c_hp: list = []
         self._hp_dps = 0
         self._hp_cache: dict[float, tuple] = {}
-
-    def moment(self, ell: float) -> float:
-        with self._lock:
-            if ell not in self._cache:
-                self._cache[ell] = rvdist.raw_moment(
-                    self._rm, self._cfg, self._co, ell
-                ).value
-            return self._cache[ell]
-
-    def dmoment_dsigma(self, ell: float) -> float:
-        raise NotImplementedError(
-            "sigma-derivatives are only available in the constant-volatility regime"
-        )
 
     def _coeffs_hp(self):
         """Yield c_0, c_1, ..., c_{_HP_K_CAP}, continuing the list when the
@@ -221,14 +200,6 @@ class NcchiMoments:
     sigma_N: float
     sigma: float
     T: float
-
-    def moment(self, ell: float) -> float:
-        return ncchi_moment(ell, self.eta, self.lambda_bar, self.sigma_N, self.T)
-
-    def dmoment_dsigma(self, ell: float) -> float:
-        return ncchi_moment_dsigma(
-            ell, self.eta, self.lambda_bar, self.sigma_N, self.sigma, self.T
-        )
 
     def moment_hp(self, ell: float, dps: int):
         with MP_LOCK, mpm.workdps(dps):
@@ -385,28 +356,15 @@ def _normalization_scale(spec: OptionSpec, mp: MomentProvider, dps: int):
     return mp.moment_hp(0.5, dps) / 16
 
 
-def dufresne_coeffs(spec: OptionSpec, mp: MomentProvider, k: int) -> float:
-    """Expansion coefficient h_k in raw (unnormalized) units:
-    ``h_k = sum_j k! (-1)^j E[RV^{rho tau_j}] / (Gamma(j+a+1) j! (k-j)! (tau_j-1) tau_j)``.
-    """
-    if k < 0:
-        raise DomainError(f"dufresne_coeffs requires k >= 0, got {k}")
-    dps = max(_working_dps(spec), 40 + k)
-    with MP_LOCK, mpm.workdps(dps):
-        ingredients = [mp.moment_hp(spec.rho_tau(j), dps) for j in range(k + 1)]
-        *_, h_k = _h_coeffs(_inner_coeffs(spec, ingredients))
-        return float(h_k)
-
-
 # Per provider, the strike-independent series (scale, [h_0..h_K]) by key
-# (kind, rho, a, b, k_terms, dps); kind is "price" or "vega".
+# (kind, rho, a, b, k_terms, dps); kind is "call_price" or "vega_call".
 _SERIES = weakref.WeakKeyDictionary()
 
 
 def _strike_free_series(kind: str, spec: OptionSpec, mp: MomentProvider, dps: int):
     """The normalization scale s and h_0..h_K of the expansion, with the
-    ingredients E[Y^tau_j] / s^tau_j taken from the moments (kind "price")
-    or their sigma-derivatives (kind "vega"); called inside
+    ingredients E[Y^tau_j] / s^tau_j taken from the moments (kind
+    "call_price") or their sigma-derivatives (kind "vega_call"); called inside
     ``mpm.workdps(dps)``.
 
     None of it depends on the strike or the discount, so it is built once
@@ -419,7 +377,7 @@ def _strike_free_series(kind: str, spec: OptionSpec, mp: MomentProvider, dps: in
         cache = {}
     if key not in cache:
         s = _normalization_scale(spec, mp, dps)
-        moment = mp.moment_hp if kind == "price" else mp.dmoment_dsigma_hp
+        moment = mp.moment_hp if kind == "call_price" else mp.dmoment_dsigma_hp
         ingredients = [
             moment(spec.rho_tau(j), dps) / s ** mpm.mpf(spec.tau(j))
             for j in range(spec.k_terms + 1)
@@ -428,20 +386,28 @@ def _strike_free_series(kind: str, spec: OptionSpec, mp: MomentProvider, dps: in
     return cache[key]
 
 
+def _call_series(
+    kind: str, spec: OptionSpec, mp: MomentProvider, rel_tol: float
+) -> SeriesResult:
+    """The body of ``call_price`` and ``vega_call`` (``kind``): the series at
+    the working precision, refused with NoConvergence unless it stagnated."""
+    dps = _working_dps(spec)
+    with MP_LOCK, mpm.workdps(dps):
+        result = _series_hp(spec, *_strike_free_series(kind, spec, mp, dps), rel_tol)
+    if not result.converged:
+        raise NoConvergence(
+            f"{kind} series not stagnated after {result.terms_used} terms "
+            f"(last term {result.last_term:.3e}); increase k_terms"
+        )
+    return result
+
+
 def call_price(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> SeriesResult:
     """Price of the call (RV^rho - K)^+ under the fitted expansion:
     ``discount K^b e^{-K} sum_k h_k L_k^{(a)}(K)`` (after the internal
     renormalization of RV^rho, which leaves the value unchanged).
     """
-    dps = _working_dps(spec)
-    with MP_LOCK, mpm.workdps(dps):
-        result = _series_hp(spec, *_strike_free_series("price", spec, mp, dps), rel_tol)
-    if not result.converged:
-        raise NoConvergence(
-            f"call_price series not stagnated after {result.terms_used} terms "
-            f"(last term {result.last_term:.3e}); increase k_terms"
-        )
-    return result
+    return _call_series("call_price", spec, mp, rel_tol)
 
 
 def vega_call(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> SeriesResult:
@@ -452,12 +418,4 @@ def vega_call(spec: OptionSpec, mp: MomentProvider, rel_tol: float = 1e-10) -> S
     (it is a reparameterization choice, not a function of the market), so
     differentiating the moments term by term is exact.
     """
-    dps = _working_dps(spec)
-    with MP_LOCK, mpm.workdps(dps):
-        result = _series_hp(spec, *_strike_free_series("vega", spec, mp, dps), rel_tol)
-    if not result.converged:
-        raise NoConvergence(
-            f"vega_call series not stagnated after {result.terms_used} terms; "
-            "increase k_terms"
-        )
-    return result
+    return _call_series("vega_call", spec, mp, rel_tol)

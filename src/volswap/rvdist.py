@@ -84,6 +84,10 @@ _BOUND_TAIL_CAP = 100_000
 # beyond mpmath's precision.
 _GUARD_BITS = 64
 
+# Correct digits ``raw_moment_hp`` must keep after cancellation: a double's
+# 17 and three more.
+_MIN_DIGITS = 20
+
 
 @dataclass(frozen=True)
 class ExpansionConfig:
@@ -157,15 +161,17 @@ def _build(rm: ReturnMoments, cfg: ExpansionConfig, s, u):
 
 def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
     """The expansion coefficients c_0..c_K (see ``_build``) in double
-    precision, with the power sums formed by repeated products and the
-    noncentral sums U_m from ``ReturnMoments.mean_forms``."""
-    u = rm.mean_forms(cfg.k_max, cfg.beta_bar)
+    precision, with the power sums s_j and the noncentral sums U_m (those of
+    ``ReturnMoments.mean_forms``) formed by repeated products in one pass."""
     xi = xij = 1 - rm.alpha_bar / cfg.beta_bar
-    s = []
+    v = rm._delta_alpha
+    s, u = [], []
     for j in range(cfg.k_max):
         if j:
             xij = xij * xi
+            v = v * xi
         s.append(float(np.sum(xij)))
+        u.append(float(np.sum(v)))
     c, d = _build(rm, cfg, s, u)
     return ExpansionCoeffs(c=c, d=d, zeta=_ratios(rm, cfg)[0])
 
@@ -459,6 +465,10 @@ def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps
     reports whether the series stagnated (three consecutive terms below
     10^-(dps-5) of the partial sum) before the coefficients ran out.
 
+    Stagnation cannot see cancellation: terms far larger than the sum leave
+    it with dps minus log10(max |term| / |sum|) correct digits, and a sum
+    left with fewer than ``_MIN_DIGITS`` raises NoConvergence.
+
     The terms are those of :func:`raw_moment`, summed once in fixed point as
     in ``_HpKernel``: with P = prec + ``_GUARD_BITS``, each c_k is cut
     to a multiple of 2^-P, the factor (-ell)_k/(p)_k is stepped by the exact
@@ -476,7 +486,7 @@ def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps
         pn, pd = (rm.nu / 2).as_integer_ratio()
         inv_tol = 10 ** (dps - 5)
         hyp = 1 << P
-        total = streak = 0
+        total = streak = peak = 0
         converged = False
         for k, ck in enumerate(c_hp):
             if k:
@@ -485,15 +495,22 @@ def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps
             sign, man, exp, _ = ck._mpf_
             shift = exp + P
             term = (man << shift if shift >= 0 else man >> -shift) * hyp
-            term = -term if sign else term
-            total += term
-            if total and abs(term) * inv_tol <= abs(total):
+            size = abs(term)
+            peak = max(peak, size)
+            total += -term if sign else term
+            if total and size * inv_tol <= abs(total):
                 streak += 1
                 if streak >= 3:
                     converged = True
                     break
             else:
                 streak = 0
+        if peak * 10**_MIN_DIGITS > abs(total) * 10**dps:
+            kept = dps - math.log10(peak) + math.log10(abs(total)) if total else -math.inf
+            raise NoConvergence(
+                f"raw_moment_hp(ell={ell}): cancellation leaves {kept:.1f} of {dps} "
+                f"digits, fewer than {_MIN_DIGITS}; raise dps"
+            )
         # (2 beta)^ell Gamma(p+ell)/Gamma(p), as in ``_moment_terms``
         p, ell = mpm.mpf(rm.nu) / 2, mpm.mpf(ell)
         front = mpm.exp(ell * mpm.log(2 * mpm.mpf(cfg.beta_bar))

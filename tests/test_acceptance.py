@@ -185,8 +185,7 @@ def _vol_strike(rm):
     corner (small sigma, large kappa) needs hundreds of series terms whose
     cancellation exceeds double precision.
     """
-    lmom = options.LaguerreMoments(rm, rvdist.ExpansionConfig.defaults(rm, k_max=25))
-    return float(lmom.moment_hp(0.5, 60))
+    return float(options.LaguerreMoments(rm).moment_hp(0.5, 60))
 
 
 def _check_instance(params, schedule, rm, seed):
@@ -318,7 +317,9 @@ def test_criterion_7_vega_grid():
 
                 # option vega (variance call struck at the mean)
                 nm = options.NcchiMoments(eta, rm.lambda_bar, sn0, sigma, T)
-                spec = options.OptionSpec(rho=1.0, strike=nm.moment(1.0))
+                spec = options.OptionSpec(
+                    rho=1.0, strike=options.ncchi_moment(1.0, eta, rm.lambda_bar, sn0, T)
+                )
                 vega = options.vega_call(spec, nm).value
 
                 def call(s):
@@ -342,15 +343,15 @@ def option_instance():
     params = SchwartzParams(s0=2.0, mu=1.0, sigma=0.05, kappa=0.5)
     schedule = Schedule(t1=0.0, horizon=1.0, n_obs=52)
     rm = return_moments(params, schedule)
-    lmom = options.LaguerreMoments(rm, rvdist.ExpansionConfig.defaults(rm, k_max=25))
+    lmom = options.LaguerreMoments(rm)
     samples = mc.simulate_rv(params, schedule, mc.McConfig(n_paths=100_000, seed=12345))
     return rm, lmom, samples
 
 
 def test_criterion_8_option_properties(option_instance):
     start = time.perf_counter()
-    _, lmom, samples = option_instance
-    e_rv = lmom.moment(1.0)
+    rm, lmom, samples = option_instance
+    e_rv = swaps.var_swap_tv(rm, rvdist.ExpansionConfig.defaults(rm, k_max=25)).strike
     discount = 0.95
 
     strikes = np.linspace(0.25, 2.0, 15) * e_rv

@@ -47,6 +47,8 @@ COMMANDS = [
     ("price", "--contract", "vol-swap", "--method", "central", "--eta", "5",
      "--sigma-n", "-0.01"),
     ("price", "--contract", "vol-swap", "--method", "central", *_CONST, "--T", "0"),
+    ("price", "--contract", "vol-call", "--strike", "8", *_MODEL),
+    ("price", "--contract", "var-call", "--strike", "64", *_MODEL, "--terms", "25"),
 ]
 
 

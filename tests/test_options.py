@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_instance, make_instance
-from volswap import mc, options, rvdist
+from volswap import mc, options, rvdist, swaps
 from volswap.errors import DomainError, InvalidConfig, NoConvergence
 from volswap.model import SchwartzParams, Schedule, return_moments
 from volswap.options import (
@@ -13,11 +13,11 @@ from volswap.options import (
     NcchiMoments,
     OptionSpec,
     call_price,
-    dufresne_coeffs,
     ncchi_moment,
     ncchi_moment_dsigma,
     vega_call,
 )
+from volswap.specfun import MP_LOCK
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +34,23 @@ def ref():
     return params, schedule, rm, samples
 
 
-def _lm(rm, k_max=25):
-    return LaguerreMoments(rm, rvdist.ExpansionConfig.defaults(rm, k_max=k_max))
+def _series_moment(rm, ell):
+    """E[RV^ell], ell = 1/2 or 1, as the K=25 swap quote reads it: the scale
+    the strikes below are set on."""
+    quote = swaps.vol_swap_tv if ell == 0.5 else swaps.var_swap_tv
+    return quote(rm, rvdist.ExpansionConfig.defaults(rm, k_max=25)).strike
+
+
+def _h(spec, mp, k):
+    """Expansion coefficient h_k in raw (unnormalized) units, formed by the
+    pricer's own steps from the moments at max(working dps, 40 + k) digits."""
+    import mpmath as mpm
+
+    dps = max(options._working_dps(spec), 40 + k)
+    with MP_LOCK, mpm.workdps(dps):
+        ingredients = [mp.moment_hp(spec.rho_tau(j), dps) for j in range(k + 1)]
+        *_, h_k = options._h_coeffs(options._inner_coeffs(spec, ingredients))
+        return float(h_k)
 
 
 # ---------------------------------------------------------------------------
@@ -130,26 +145,16 @@ def test_ncchi_moment_dsigma_vs_fd(lam):
 # ---------------------------------------------------------------------------
 
 
-def test_laguerre_moments_match_rvdist(ref):
+def test_laguerre_moment_hp_matches_cumulants(ref):
+    # E[RV] = k1 and E[RV^2] = k1^2 + k2 with k2 = 2 sum alpha^2 (1 + 2 delta)
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    cfg = lm._cfg
-    co = rvdist.coeffs(rm, cfg)
-    for ell in (0.5, 1.0, 2.0):
-        assert lm.moment(ell) == pytest.approx(
-            rvdist.raw_moment(rm, cfg, co, ell).value, rel=1e-15
-        )
-    with pytest.raises(NotImplementedError):
-        lm.dmoment_dsigma(1.0)
+    lm = LaguerreMoments(rm)
+    k1 = rm.rv_mean()
+    k2 = 2.0 * float(np.sum(rm.alpha_bar**2 * (1.0 + 2.0 * rm.delta_bar)))
+    assert float(lm.moment_hp(1.0, 40)) == pytest.approx(k1, rel=1e-14)
+    assert float(lm.moment_hp(2.0, 40)) == pytest.approx(k1 * k1 + k2, rel=1e-14)
     with pytest.raises(NotImplementedError):
         lm.dmoment_dsigma_hp(1.0, 40)
-
-
-def test_laguerre_moment_hp_matches_float(ref):
-    _, _, rm, _ = ref
-    lm = _lm(rm)
-    for ell in (1.0, 2.0):
-        assert float(lm.moment_hp(ell, 40)) == pytest.approx(lm.moment(ell), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +167,9 @@ def test_dufresne_coeff_h0():
     nm = NcchiMoments(eta, lam, sn, sigma=0.05, T=T)
     spec = OptionSpec(rho=1.0, strike=10.0)
     # tau_0 = 2: h_0 = E[RV^2] / ((tau_0 - 1) tau_0 Gamma(a+1)) = E[RV^2]/2
-    assert dufresne_coeffs(spec, nm, 0) == pytest.approx(
+    assert _h(spec, nm, 0) == pytest.approx(
         0.5 * ncchi_moment(2.0, eta, lam, sn, T), rel=1e-12
     )
-    with pytest.raises(DomainError):
-        dufresne_coeffs(spec, nm, -1)
 
 
 def test_dufresne_coeffs_vs_direct_sum():
@@ -190,7 +193,7 @@ def test_dufresne_coeffs_vs_direct_sum():
                 )
                 for j in range(k + 1)
             )
-        assert dufresne_coeffs(spec, nm, k) == pytest.approx(float(ref), rel=1e-10)
+        assert _h(spec, nm, k) == pytest.approx(float(ref), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +203,8 @@ def test_dufresne_coeffs_vs_direct_sum():
 
 def test_var_call_vs_mc(ref):
     _, _, rm, samples = ref
-    lm = _lm(rm)
-    e_rv = lm.moment(1.0)
+    lm = LaguerreMoments(rm)
+    e_rv = _series_moment(rm, 1.0)
     for frac in (0.5, 1.0, 1.5):
         strike = frac * e_rv
         price = call_price(OptionSpec(rho=1.0, strike=strike), lm).value
@@ -211,8 +214,8 @@ def test_var_call_vs_mc(ref):
 
 def test_var_call_small_strike_limit(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_rv = lm.moment(1.0)
+    lm = LaguerreMoments(rm)
+    e_rv = _series_moment(rm, 1.0)
     strike = 1e-8 * e_rv
     price = call_price(OptionSpec(rho=1.0, strike=strike, k_terms=60), lm).value
     assert price == pytest.approx(e_rv - strike, rel=1e-10)
@@ -220,8 +223,8 @@ def test_var_call_small_strike_limit(ref):
 
 def test_var_call_strike_structure(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_rv = lm.moment(1.0)
+    lm = LaguerreMoments(rm)
+    e_rv = _series_moment(rm, 1.0)
     strikes = np.linspace(0.25, 2.0, 15) * e_rv
     prices = np.array(
         [call_price(OptionSpec(rho=1.0, strike=float(k), k_terms=60), lm).value
@@ -238,8 +241,8 @@ def test_var_call_strike_structure(ref):
 
 def test_var_call_ab_robustness(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_rv = lm.moment(1.0)
+    lm = LaguerreMoments(rm)
+    e_rv = _series_moment(rm, 1.0)
     p00 = call_price(OptionSpec(rho=1.0, strike=e_rv), lm).value
     p1h = call_price(OptionSpec(rho=1.0, strike=e_rv, a=1.0, b=0.5), lm, rel_tol=1e-7).value
     assert p1h == pytest.approx(p00, rel=1e-6)
@@ -247,8 +250,8 @@ def test_var_call_ab_robustness(ref):
 
 def test_var_call_discount_scales_linearly(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_rv = lm.moment(1.0)
+    lm = LaguerreMoments(rm)
+    e_rv = _series_moment(rm, 1.0)
     p1 = call_price(OptionSpec(rho=1.0, strike=e_rv), lm).value
     p2 = call_price(OptionSpec(rho=1.0, strike=e_rv, discount=0.97), lm).value
     assert p2 == pytest.approx(0.97 * p1, rel=1e-12)
@@ -261,8 +264,8 @@ def test_var_call_discount_scales_linearly(ref):
 
 def test_vol_call_vs_mc(ref):
     _, _, rm, samples = ref
-    lm = _lm(rm)
-    e_vol = lm.moment(0.5)
+    lm = LaguerreMoments(rm)
+    e_vol = _series_moment(rm, 0.5)
     for frac in (0.5, 0.9, 1.0, 1.1):
         strike = frac * e_vol
         price = call_price(
@@ -274,8 +277,8 @@ def test_vol_call_vs_mc(ref):
 
 def test_vol_call_small_strike_limit(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_vol = lm.moment(0.5)
+    lm = LaguerreMoments(rm)
+    e_vol = _series_moment(rm, 0.5)
     strike = 1e-6 * e_vol
     price = call_price(
         OptionSpec(rho=0.5, strike=strike, k_terms=300), lm, rel_tol=1e-6
@@ -285,8 +288,8 @@ def test_vol_call_small_strike_limit(ref):
 
 def test_vol_call_strike_structure(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_vol = lm.moment(0.5)
+    lm = LaguerreMoments(rm)
+    e_vol = _series_moment(rm, 0.5)
     strikes = np.linspace(0.5, 1.3, 9) * e_vol
     prices = np.array(
         [
@@ -307,8 +310,8 @@ def test_vol_call_strike_structure(ref):
 
 def test_vol_call_ab_robustness(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_vol = lm.moment(0.5)
+    lm = LaguerreMoments(rm)
+    e_vol = _series_moment(rm, 0.5)
     p00 = call_price(
         OptionSpec(rho=0.5, strike=e_vol, k_terms=300), lm, rel_tol=1e-6
     ).value
@@ -321,8 +324,8 @@ def test_vol_call_ab_robustness(ref):
 
 def test_vol_call_no_convergence_at_tiny_series(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_vol = lm.moment(0.5)
+    lm = LaguerreMoments(rm)
+    e_vol = _series_moment(rm, 0.5)
     with pytest.raises(NoConvergence):
         call_price(OptionSpec(rho=0.5, strike=e_vol, k_terms=5), lm)
 
@@ -334,9 +337,9 @@ def test_vol_call_no_convergence_at_tiny_series(ref):
 
 def test_regime_agreement_constant_instance():
     rm = constant_instance(eta=20, lambda_bar=0.6, sigma_n=0.02)
-    lm = _lm(rm, k_max=25)
+    lm = LaguerreMoments(rm)
     nm = NcchiMoments(rm.eta, rm.lambda_bar, rm.sigma_N, sigma=0.02, T=rm.horizon)
-    e_rv = nm.moment(1.0)
+    e_rv = ncchi_moment(1.0, nm.eta, nm.lambda_bar, nm.sigma_N, nm.T)
     spec = OptionSpec(rho=1.0, strike=e_rv)
     p_tv = call_price(spec, lm).value
     p_cc = call_price(spec, nm).value
@@ -357,7 +360,7 @@ def test_vega_var_call_vs_fd():
     eta, T, sigma0, sn0 = 26.0, 1.0, 0.08, 0.016
     mu_sq = 0.9 * sn0**2
     nm = _ncchi_for_sigma(sigma0, eta, mu_sq, sn0, sigma0, T)
-    e_rv = nm.moment(1.0)
+    e_rv = ncchi_moment(1.0, nm.eta, nm.lambda_bar, nm.sigma_N, nm.T)
     spec = OptionSpec(rho=1.0, strike=e_rv)
     vega = vega_call(spec, nm).value
     h = 1e-5
@@ -372,7 +375,7 @@ def test_vega_vol_call_vs_fd():
     eta, T, sigma0, sn0 = 26.0, 1.0, 0.08, 0.016
     mu_sq = 0.9 * sn0**2
     nm = _ncchi_for_sigma(sigma0, eta, mu_sq, sn0, sigma0, T)
-    e_vol = nm.moment(0.5)
+    e_vol = ncchi_moment(0.5, nm.eta, nm.lambda_bar, nm.sigma_N, nm.T)
     spec = OptionSpec(rho=0.5, strike=e_vol, k_terms=200)
     vega = vega_call(spec, nm, rel_tol=1e-6).value
     h = 1e-4
@@ -419,8 +422,8 @@ def test_pinned_n252_moment_and_no_convergence_message():
 
 def test_pinned_vol_call(ref):
     _, _, rm, _ = ref
-    lm = _lm(rm)
-    e_vol = lm.moment(0.5)
+    lm = LaguerreMoments(rm)
+    e_vol = _series_moment(rm, 0.5)
     spec = OptionSpec(rho=0.5, strike=e_vol, k_terms=200)
     assert call_price(spec, lm, rel_tol=1e-7).value == 0.19947827518070962
 
@@ -428,11 +431,11 @@ def test_pinned_vol_call(ref):
 def test_pinned_dufresne_coeff():
     nm = NcchiMoments(9.0, 0.8, 0.05, sigma=0.05, T=1.0)
     spec = OptionSpec(rho=1.0, strike=10.0, a=1.0, b=0.5)
-    assert dufresne_coeffs(spec, nm, 5) == -928811101518178.0
+    assert _h(spec, nm, 5) == -928811101518178.0
 
 
 def test_pinned_vega_call():
-    # the strike is nm.moment(1.0) as it read when the pin was recorded,
+    # the strike is ncchi_moment(1.0, ...) as it read when the pin was recorded,
     # 5.8e-13 below the exact E[RV] = 68.864 it returns now
     nm = NcchiMoments(26.0, 0.9, 0.016, sigma=0.08, T=1.0)
     assert vega_call(OptionSpec(rho=1.0, strike=68.86399999999942), nm).value == 953.7344094512137

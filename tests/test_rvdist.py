@@ -334,7 +334,7 @@ def test_lemma_domination_randomized():
     for sigma, kappa, n_obs in BASELINE_ROWS:
         _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
         quote = swaps.vol_swap_tv(rm)
-        exact = float(options.LaguerreMoments(rm, _cfg(rm)).moment_hp(0.5, 60))
+        exact = float(options.LaguerreMoments(rm).moment_hp(0.5, 60))
         assert abs(quote.strike - exact) <= quote.error_bound
 
 
@@ -561,3 +561,30 @@ def test_raw_moment_hp_takes_any_iterable(example_instance):
         assert rvdist.raw_moment_hp(rm, cfg, iter(c_hp), ell, dps=40) == (value, True)
     # a fractional order runs out of five coefficients before it stagnates
     assert not rvdist.raw_moment_hp(rm, cfg, c_hp[:5], 0.5, dps=40)[1]
+
+
+@pytest.mark.parametrize("sigma, kappa, n_obs, value", [
+    (0.005, 3.0, 52, 1.6689080464016313),
+    (0.005, 3.0, 252, 0.8747535297813672),
+    (0.08, 1.5, 52, 7.96390247261765),
+])
+def test_raw_moment_hp_keeps_sums_with_digits_left(sigma, kappa, n_obs, value):
+    # values recorded before the cancellation guard; the first loses 36 of
+    # its 60 digits to cancellation and still holds 24
+    _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+    assert float(options.LaguerreMoments(rm).moment_hp(0.5, 60)) == value
+
+
+@pytest.mark.parametrize("kappa", [4.0, 5.0])
+def test_raw_moment_hp_refuses_cancelled_sums(kappa):
+    # at sigma=.005, N=52 the half-moment series cancels more than 40 of 60
+    # digits: the sums it stagnated on were 8481.6 (kappa 4) and 1.09e28
+    # (kappa 5), against 1.907293 and 2.117875
+    _, _, rm = make_instance(sigma=0.005, kappa=kappa, n_obs=52)
+    with pytest.raises(NoConvergence, match="cancellation leaves"):
+        options.LaguerreMoments(rm).moment_hp(0.5, 60)
+
+
+def test_raw_moment_hp_more_digits_survive_cancellation():
+    _, _, rm = make_instance(sigma=0.005, kappa=4.0, n_obs=52)
+    assert float(options.LaguerreMoments(rm).moment_hp(0.5, 80)) == 1.9072934383283935
