@@ -84,22 +84,22 @@ def _emit(args, params: dict, header: list[str], rows: list[list]) -> None:
 
 # Model defaults of the flags below; ``reproduce`` builds its instances on them.
 _MODEL_DEFAULTS = dict(s0=2.0, mu=0.6, sigma=0.05, kappa=0.5, n_obs=252, horizon=1.0, t1=0.0)
+_MODEL_KEYS = tuple(_MODEL_DEFAULTS)
 
 
-def _model_args(p: argparse.ArgumentParser) -> None:
+def _model_args(p: argparse.ArgumentParser, grid: bool = False) -> None:
+    """The model flags; a ``grid`` command takes sigma and kappa from its grid."""
     d = _MODEL_DEFAULTS
     p.add_argument("--S0", type=float, default=d["s0"], dest="s0")
     p.add_argument("--mu", type=float, default=d["mu"])
-    p.add_argument("--sigma", type=float, default=d["sigma"])
-    p.add_argument("--kappa", type=float, default=d["kappa"])
+    if not grid:
+        p.add_argument("--sigma", type=float, default=d["sigma"])
+        p.add_argument("--kappa", type=float, default=d["kappa"])
     p.add_argument("--N", type=int, default=d["n_obs"], dest="n_obs")
     p.add_argument("--T", type=float, default=d["horizon"], dest="horizon")
     p.add_argument("--t1", type=float, default=d["t1"],
                    help="first observation time; returns are measured from it, "
                         "so no quote depends on it")
-    p.add_argument("--terms", type=int, default=rvdist.DEFAULT_K_PRICING,
-                   help="Laguerre truncation order K of series swap quotes and "
-                        "pdf; bound-table reads --Ks and calls --k-terms instead")
 
 
 def _common_args(p: argparse.ArgumentParser) -> None:
@@ -121,33 +121,49 @@ def _moments(args=None, independent_increments=False, **model):
 # price
 # --------------------------------------------------------------------------
 
+# The flags each (contract kind, method) reads: the required ones among them
+# must be given, and they are the row's metadata, hence its config_hash.
+_CALL_KEYS = _MODEL_KEYS + ("strike", "a", "b", "k_terms", "discount")
+_PRICE_INPUTS = {
+    ("swap", "laguerre"): _MODEL_KEYS + ("terms",),
+    ("swap", "const-c"): ("c", "eta", "horizon"),
+    ("swap", "ncchi"): ("eta", "lambda_bar", "sigma_n", "horizon"),
+    ("swap", "central"): ("eta", "sigma_n", "horizon"),
+    ("call", "laguerre"): _CALL_KEYS,
+    ("call", "ncchi"): _CALL_KEYS,
+}
+# The closed-form swap strikes (vol, var); they take the flags listed above.
+_CLOSED_FORMS = {
+    "const-c": (swaps.vol_swap_const_c, swaps.var_swap_const_c),
+    "ncchi": (swaps.vol_swap_ncchi, swaps.var_swap_ncchi),
+    "central": (swaps.vol_swap_central, swaps.var_swap_central),
+}
+
+
 def cmd_price(args) -> int:
     contract = args.contract
     rho = 0.5 if contract.startswith("vol") else 1.0
+    reads = _PRICE_INPUTS.get((contract.partition("-")[2], args.method))
+    if reads is None:
+        raise DomainError(f"option contracts take --method laguerre or ncchi, got {args.method!r}")
+    missing = [n for n in reads if getattr(args, n) is None]
+    if missing:
+        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+        raise DomainError(f"method {args.method!r} requires {flags}")
     meta = {"command": "price", "contract": contract, "method": args.method}
+    meta |= {k: getattr(args, k) for k in reads}
     # Closed-form swap quotes take --c/--eta/--sigma-n instead of the model.
     needs_model = args.method == "laguerre" or contract.endswith("call") or args.validate_mc
     params, schedule, rm = _moments(args) if needs_model else (None, None, None)
 
-    if contract in ("vol-swap", "var-swap"):
+    if contract.endswith("swap"):
         quote = _price_swap(args, contract, rm)
-        record = {
-            "contract": contract,
-            "method": quote.method.value,
-            "value": quote.strike,
-            "terms": quote.terms_used,
-            "bound": quote.error_bound,
-        }
-    else:  # vol-call / var-call
-        price = _price_call(args, contract, rm)
-        record = {
-            "contract": contract,
-            "method": args.method,
-            "value": price.value,
-            "terms": price.terms_used,
-            "bound": None,
-        }
-
+        method, value = quote.method.value, quote.strike
+        terms, bound = quote.terms_used, quote.error_bound
+    else:
+        price = _price_call(args, rho, rm)
+        method, value, terms, bound = args.method, price.value, price.terms_used, None
+    record = dict(contract=contract, method=method, value=value, terms=terms, bound=bound)
     header = ["contract", "method", "value", "terms", "bound"]
     row = [record[h] if record[h] is not None else "" for h in header]
     if args.validate_mc:
@@ -157,7 +173,8 @@ def cmd_price(args) -> int:
             est = mc.estimate_swap(samples, rho)
         else:
             est = mc.estimate_call(samples, rho, args.strike, args.discount)
-        meta.update(seed=args.seed, n_paths=args.validate_mc, n_streams=args.streams)
+        meta.update({k: getattr(args, k) for k in _MODEL_KEYS},
+                    seed=args.seed, n_paths=args.validate_mc, n_streams=args.streams)
         record.update(mc_mean=est.mean, mc_se=est.std_error)
         header = header + ["mc_mean", "mc_se"]
         row = row + [est.mean, est.std_error]
@@ -168,48 +185,24 @@ def cmd_price(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    _emit(args, meta | _model_meta(args), header, [row])
+    _emit(args, meta, header, [row])
     return 0
 
 
 def _model_meta(args) -> dict:
-    keys = ("s0", "mu", "sigma", "kappa", "n_obs", "horizon", "t1", "terms")
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
-
-
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise DomainError(f"method {args.method!r} requires {flags}")
+    return {k: getattr(args, k) for k in _MODEL_KEYS + ("terms",) if hasattr(args, k)}
 
 
 def _price_swap(args, contract, rm) -> swaps.SwapQuote:
-    method = args.method
-    if method == "laguerre":
+    if args.method == "laguerre":
         cfg = rvdist.ExpansionConfig.defaults(rm, k_max=args.terms)
         return swaps.vol_swap_tv(rm, cfg) if contract == "vol-swap" else swaps.var_swap_tv(rm, cfg)
-    if method == "const-c":
-        _require(args, "c", "eta")
-        fn = swaps.vol_swap_const_c if contract == "vol-swap" else swaps.var_swap_const_c
-        return fn(args.c, args.eta, args.horizon)
-    if method == "ncchi":
-        _require(args, "eta", "lambda_bar", "sigma_n")
-        fn = swaps.vol_swap_ncchi if contract == "vol-swap" else swaps.var_swap_ncchi
-        return fn(args.eta, args.lambda_bar, args.sigma_n, args.horizon)
-    if method == "central":
-        _require(args, "eta", "sigma_n")
-        fn = swaps.vol_swap_central if contract == "vol-swap" else swaps.var_swap_central
-        return fn(args.eta, args.sigma_n, args.horizon)
-    raise DomainError(f"unknown method {method!r}")
+    vol, var = _CLOSED_FORMS[args.method]
+    fn = vol if contract == "vol-swap" else var
+    return fn(*(getattr(args, k) for k in _PRICE_INPUTS["swap", args.method]))
 
 
-def _price_call(args, contract, rm):
-    if args.method not in ("laguerre", "ncchi"):
-        raise DomainError(f"option contracts take --method laguerre or ncchi, got {args.method!r}")
-    if args.strike is None:
-        raise DomainError("--strike is required for option contracts")
-    rho = 0.5 if contract == "vol-call" else 1.0
+def _price_call(args, rho, rm):
     spec = options.OptionSpec(
         rho=rho, strike=args.strike, a=args.a, b=args.b,
         discount=args.discount, k_terms=args.k_terms,
@@ -419,6 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="laguerre",
                    choices=("laguerre", "const-c", "ncchi", "central"))
     _model_args(p)
+    p.add_argument("--terms", type=int, default=rvdist.DEFAULT_K_PRICING,
+                   help="Laguerre truncation order K of --method laguerre swap "
+                        "quotes; calls read --k-terms instead")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--sigma-n", type=float, default=None, dest="sigma_n")
     p.add_argument("--lambda-bar", type=float, default=None, dest="lambda_bar")
@@ -436,14 +432,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pdf", help="tabulate the realized-variance density")
     _model_args(p)
+    p.add_argument("--terms", type=int, default=rvdist.DEFAULT_K_PDF,
+                   help="Laguerre truncation order K of the density series")
     p.add_argument("--y-min", type=float, default=None, dest="y_min")
     p.add_argument("--y-max", type=float, default=None, dest="y_max")
     p.add_argument("--points", type=int, default=200)
     _common_args(p)
-    p.set_defaults(func=cmd_pdf, terms=rvdist.DEFAULT_K_PDF)
+    p.set_defaults(func=cmd_pdf)
 
-    p = sub.add_parser("bound-table", help="truncation-bound table")
-    _model_args(p)
+    p = sub.add_parser("bound-table", help="truncation-bound table", description=(
+        "Truncation bound of the E[RV^ell] series after K+1 terms, one row per "
+        "(kappa, K, sigma) of the comma-separated --kappas, --Ks and --sigmas."))
+    _model_args(p, grid=True)
     p.add_argument("--ell", type=float, default=0.5)
     p.add_argument("--kappas", default="0.5,1.5,3.0")
     p.add_argument("--Ks", default="0,1,2,3", dest="Ks")

@@ -2,10 +2,14 @@
 
 Paths use the exact Gaussian transition of the mean-reverting log price, so
 there is no discretization bias: any disagreement with the analytic pricers
-is pure sampling noise.  Draws come from SFC64 generators keyed per stream,
-making runs a pure function of (seed, n_streams) and bitwise reproducible.
-Streams run on up to ``os.cpu_count()`` threads; the ``VOLSWAP_THREADS``
-environment variable lowers or raises that cap.
+is pure sampling noise.  The log price is AR(1) about its reversion level
+alpha, with phi = e^{-kappa dt} and one-step variance q = ``ou_variance(dt)``;
+each path carries y = (x - alpha)/sqrt(q), and a step with a standard normal
+z takes the return r = (phi - 1) y + z, y += r, so RV = q 100^2/T sum r^2.
+Draws come from SFC64 generators keyed per stream, making runs a pure
+function of (seed, n_streams) and bitwise reproducible.  Streams run on up
+to ``os.cpu_count()`` threads; the ``VOLSWAP_THREADS`` environment variable
+lowers or raises that cap.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import Schedule, SchwartzParams
+from .model import Schedule, SchwartzParams, ou_variance
 
 __all__ = [
     "McConfig",
@@ -72,28 +76,23 @@ def _stream_rv(
     rng = np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
     )
-    kappa = params.kappa
-    dt = schedule.dt
-    decay_m1 = math.expm1(-kappa * dt)
-    drift = -params.alpha * decay_m1
-    step_sd = math.sqrt(params.sigma**2 / (2.0 * kappa) * -math.expm1(-2.0 * kappa * dt))
+    q = ou_variance(params, schedule.dt)
+    decay_m1 = math.expm1(-params.kappa * schedule.dt)
 
-    # Each step is r = (decay - 1) x + drift + step_sd z, x += r, out += r^2,
-    # in place over three buffers of one stream's width.
-    x = np.full(out.size, params.x0)
+    # Each step is r = (phi - 1) y + z, y += r, out += r^2, in place over
+    # three buffers of one stream's width; out takes the scale q 100^2/T last.
+    y = np.full(out.size, (params.x0 - params.alpha) / math.sqrt(q))
     z = np.empty(out.size)
     r = np.empty(out.size)
     out.fill(0.0)
     for _ in range(schedule.n_obs - 1):
         rng.standard_normal(out=z)
-        z *= step_sd
-        np.multiply(x, decay_m1, out=r)
-        r += drift
+        np.multiply(y, decay_m1, out=r)
         r += z
-        x += r
+        y += r
         np.square(r, out=r)
         out += r
-    out *= 100.0**2 / schedule.horizon
+    out *= q * 100.0**2 / schedule.horizon
 
 
 def simulate_rv(params: SchwartzParams, schedule: Schedule, mc: McConfig) -> np.ndarray:
@@ -112,22 +111,22 @@ def simulate_rv(params: SchwartzParams, schedule: Schedule, mc: McConfig) -> np.
     return out
 
 
-def estimate_swap(samples: np.ndarray, rho: float) -> McEstimate:
-    """Mean and standard error of RV^rho over the sample set."""
-    vals = np.asarray(samples, dtype=float) ** rho
+def _estimate(vals: np.ndarray) -> McEstimate:
     n = vals.size
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return McEstimate(mean=float(np.mean(vals)), std_error=se, n=n)
+
+
+def estimate_swap(samples: np.ndarray, rho: float) -> McEstimate:
+    """Mean and standard error of RV^rho over the sample set."""
+    return _estimate(np.asarray(samples, dtype=float) ** rho)
 
 
 def estimate_call(
     samples: np.ndarray, rho: float, strike: float, discount: float = 1.0
 ) -> McEstimate:
     """Discounted mean and standard error of the payoff (RV^rho - K)^+."""
-    payoff = discount * np.maximum(np.asarray(samples, dtype=float) ** rho - strike, 0.0)
-    n = payoff.size
-    se = float(np.std(payoff, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean=float(np.mean(payoff)), std_error=se, n=n)
+    return _estimate(discount * np.maximum(np.asarray(samples, dtype=float) ** rho - strike, 0.0))
 
 
 def histogram(

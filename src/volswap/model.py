@@ -401,7 +401,7 @@ def return_moments(
     om = -math.expm1(-kappa * dt)  # 1 - phi
     mu_bar = (params.alpha - params.x0) * om * np.exp(-kappa * tau)
     s2 = params.sigma**2 / (2.0 * kappa)
-    q = s2 * -math.expm1(-2.0 * kappa * dt)
+    q = ou_variance(params, dt)
     var_bar = q + om * om * (s2 * -np.expm1(-2.0 * kappa * tau))
 
     T = schedule.horizon

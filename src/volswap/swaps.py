@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional
 
 from . import rvdist
-from .errors import DomainError, InvalidConfig, PreconditionError, RegimeError
+from .errors import DomainError, InvalidConfig, RegimeError
 from .model import ReturnMoments, SchwartzParams
 from .options import ncchi_moment, ncchi_moment_dsigma
 
@@ -68,15 +68,12 @@ def _tv_quote(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig], ell: flo
         raise InvalidConfig("requires beta_bar > max(alpha_bar)/2")
     co = rvdist.coeffs(rm, cfg)
     mom = rvdist.raw_moment(rm, cfg, co, ell)
-    try:
-        bound = rvdist.truncation_bound(rm, cfg, ell, cfg.k_max)
-    except PreconditionError:
-        bound = None
+    # beta_bar > max(alpha_bar)/2 and coeffs' alpha_bar_i > 0 certify zeta < 1.
     return SwapQuote(
         strike=mom.value,
         method=Method.LAGUERRE_SERIES,
         terms_used=mom.terms_used,
-        error_bound=bound,
+        error_bound=rvdist.truncation_bound(rm, cfg, ell, cfg.k_max),
     )
 
 

@@ -179,6 +179,43 @@ def test_price_call_rejects_swap_only_methods_exit_2(capsys, contract, method):
     assert err == f"error: option contracts take --method laguerre or ncchi, got {method!r}\n"
 
 
+def _price_meta(capsys, *argv):
+    code, out, _ = run_cli(capsys, "price", *argv)
+    assert code == 0
+    return parse_csv(out)[0]
+
+
+def test_closed_form_hash_follows_its_inputs(capsys):
+    # The three ncchi vol-swap strikes once printed under one config_hash,
+    # which held the unread model flags and none of eta, lambda_bar, sigma_N.
+    ncchi = ("--contract", "vol-swap", "--method", "ncchi")
+    metas = [
+        _price_meta(capsys, *ncchi, "--eta", "51", "--lambda-bar", "2.5", "--sigma-n", "0.02"),
+        _price_meta(capsys, *ncchi, "--eta", "52", "--lambda-bar", "2.5", "--sigma-n", "0.02"),
+        _price_meta(capsys, *ncchi, "--eta", "51", "--lambda-bar", "2.6", "--sigma-n", "0.02"),
+        _price_meta(capsys, *ncchi, "--eta", "51", "--lambda-bar", "2.5", "--sigma-n", "0.03"),
+        _price_meta(capsys, *ncchi, "--eta", "51", "--lambda-bar", "2.5", "--sigma-n", "0.02",
+                    "--T", "2"),
+    ]
+    assert len({m["config_hash"] for m in metas}) == len(metas)
+    assert (metas[0]["eta"], metas[0]["lambda_bar"], metas[0]["sigma_n"]) == ("51", "2.5", "0.02")
+    assert not {"sigma", "kappa", "n_obs", "terms"} & set(metas[0])
+    const_c = ("--contract", "vol-swap", "--method", "const-c", "--eta", "51")
+    assert (_price_meta(capsys, *const_c, "--c", "0.0004")["config_hash"]
+            != _price_meta(capsys, *const_c, "--c", "0.0005")["config_hash"])
+
+
+def test_call_hash_ignores_terms_and_follows_its_inputs(capsys):
+    base = _price_meta(capsys, "--contract", "var-call", *_CALL_MODEL)
+    assert _price_meta(capsys, "--contract", "var-call", *_CALL_MODEL,
+                       "--terms", "25") == base
+    assert "terms" not in base
+    assert (base["strike"], base["k_terms"], base["discount"]) == ("64", "40", "1")
+    for flag, value in (("--discount", "0.9"), ("--k-terms", "41"), ("--a", "0.5")):
+        moved = _price_meta(capsys, "--contract", "var-call", *_CALL_MODEL, flag, value)
+        assert moved["config_hash"] != base["config_hash"]
+
+
 # ---------------------------------------------------------------------------
 # pdf
 # ---------------------------------------------------------------------------
@@ -261,6 +298,20 @@ def test_bound_table_meta_block(capsys):
     assert "config_hash" in meta
     assert "version" in meta
     assert meta["n_obs"] == "52"
+    # sigma and kappa come from the grid, and no flag sets the series order
+    assert not {"sigma", "kappa", "terms"} & set(meta)
+
+
+def test_bound_table_takes_sigma_and_kappa_from_its_grid(capsys):
+    # --terms is no bound-table flag, and --sigma/--kappa now abbreviate the
+    # grid flags instead of being taken and ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound-table", "--terms", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --terms 3" in capsys.readouterr().err
+    grid = ("bound-table", "--N", "52", "--Ks", "1")
+    _, out, _ = run_cli(capsys, *grid, "--sigmas", "0.2", "--kappas", "2")
+    assert run_cli(capsys, *grid, "--sigma", "0.2", "--kappa", "2")[1] == out
 
 
 # ---------------------------------------------------------------------------
