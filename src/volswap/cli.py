@@ -152,8 +152,11 @@ def cmd_price(args) -> int:
         raise DomainError(f"method {args.method!r} requires {flags}")
     meta = {"command": "price", "contract": contract, "method": args.method}
     meta |= {k: getattr(args, k) for k in reads}
-    # Closed-form swap quotes take --c/--eta/--sigma-n instead of the model.
-    needs_model = args.method == "laguerre" or contract.endswith("call") or args.validate_mc
+    # Closed-form swap quotes read --c/--eta/--sigma-n, which no simulation checks.
+    needs_model = set(_MODEL_KEYS).issubset(reads)
+    if args.validate_mc and not needs_model:
+        raise DomainError(f"--validate-mc simulates the model, which method {args.method!r} "
+                          "does not read")
     params, schedule, rm = _moments(args) if needs_model else (None, None, None)
 
     if contract.endswith("swap"):
@@ -173,8 +176,7 @@ def cmd_price(args) -> int:
             est = mc.estimate_swap(samples, rho)
         else:
             est = mc.estimate_call(samples, rho, args.strike, args.discount)
-        meta.update({k: getattr(args, k) for k in _MODEL_KEYS},
-                    seed=args.seed, n_paths=args.validate_mc, n_streams=args.streams)
+        meta.update(seed=args.seed, n_paths=args.validate_mc, n_streams=args.streams)
         record.update(mc_mean=est.mean, mc_se=est.std_error)
         header = header + ["mc_mean", "mc_se"]
         row = row + [est.mean, est.std_error]
@@ -233,7 +235,11 @@ def cmd_pdf(args) -> int:
     if not 0 < y_min < y_max:
         raise DomainError("need 0 < y-min < y-max")
     grid = np.linspace(y_min, y_max, args.points)
-    dens = rvdist.pdf(rm, cfg, co, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        dens = rvdist.pdf(rm, cfg, co, grid)
+    bad = grid[~np.isfinite(dens)]
+    if bad.size:
+        raise VolswapError(f"the density series is not finite at y = {_fmt(float(bad[0]))}")
     # The flags as given: a grid derived from E[RV] shows in the first and
     # last rows, and its last-place moves must not change config_hash.
     meta = {"command": "pdf",

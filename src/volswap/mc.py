@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import Schedule, SchwartzParams, ou_variance
+from .model import Schedule, SchwartzParams, _one_step_variance
 
 __all__ = [
     "McConfig",
@@ -70,13 +70,12 @@ def _max_workers(n_streams: int) -> int:
 
 
 def _stream_rv(
-    params: SchwartzParams, schedule: Schedule, out: np.ndarray, seed: int, stream: int
+    params: SchwartzParams, schedule: Schedule, q: float, out: np.ndarray, seed: int, stream: int
 ) -> None:
     """Fill ``out`` with one stream's realized-variance samples, one per path."""
     rng = np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
     )
-    q = ou_variance(params, schedule.dt)
     decay_m1 = math.expm1(-params.kappa * schedule.dt)
 
     # Each step is r = (phi - 1) y + z, y += r, out += r^2, in place over
@@ -101,13 +100,15 @@ def simulate_rv(params: SchwartzParams, schedule: Schedule, mc: McConfig) -> np.
     Paths are partitioned across streams (extra paths go to the earliest
     streams) and each stream fills its own slice of the output in stream
     order, so output is bitwise reproducible for a given (seed, n_streams)
-    whatever the thread count.
+    whatever the thread count.  A one-step variance that is not a normal
+    positive float is refused before any stream starts.
     """
+    q = _one_step_variance(params, schedule.dt)
     out = np.empty(mc.n_paths)
     views = np.array_split(out, mc.n_streams)
     tasks = [(s, view) for s, view in enumerate(views) if view.size]
     with ThreadPoolExecutor(max_workers=_max_workers(len(tasks))) as pool:
-        list(pool.map(lambda t: _stream_rv(params, schedule, t[1], mc.seed, t[0]), tasks))
+        list(pool.map(lambda t: _stream_rv(params, schedule, q, t[1], mc.seed, t[0]), tasks))
     return out
 
 

@@ -31,6 +31,7 @@ an ulp through further steps of their own (``_spectral_parts``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -199,11 +200,14 @@ class ReturnMoments:
         return self.delta_bar * self.alpha_bar
 
     def is_constant_regime(self) -> bool:
-        """True when every chi-square weight is the same to 1e-9 relative, so
-        RV reduces to a single noncentral chi-square with eta degrees of
-        freedom."""
-        a = self.alpha_bar
-        return bool(np.all(np.abs(a - a[-1]) <= 1e-9 * abs(a[-1])))
+        """True when every chi-square weight is within 1e-9 relative of the
+        last one, so RV reduces to a single noncentral chi-square with eta
+        degrees of freedom.  The rounded difference a_i - a_last rises with
+        a_i, so the extreme weights decide it in O(1)."""
+        lo, hi = self._alpha_range
+        a = float(self.alpha_bar[-1])
+        tol = 1e-9 * abs(a)
+        return hi - a <= tol and a - lo <= tol
 
     def rv_mean(self) -> float:
         """E[RV] = sum_i alpha_bar_i (1 + delta_bar_i); the noncentral part is
@@ -246,15 +250,23 @@ def ou_covariance(params: SchwartzParams, t_prev: float, t: float) -> float:
     return ou_variance(params, t_prev) * math.exp(-params.kappa * (t - t_prev))
 
 
+def _one_step_variance(params: SchwartzParams, dt: float) -> float:
+    """q = ``ou_variance(params, dt)``, refused unless a normal positive float."""
+    q = ou_variance(params, dt)
+    if not sys.float_info.min <= q < math.inf:
+        raise DomainError(f"the one-step variance q = {q} is not a normal positive float "
+                          f"(sigma = {params.sigma}, kappa = {params.kappa}, dt = {dt})")
+    return q
+
+
 def _noncentralities(weights: np.ndarray, means_sq: np.ndarray) -> np.ndarray:
-    """delta_i = means_sq_i / weights_i with zero-weight guards."""
+    """delta_i = means_sq_i / weights_i, and 0 where both vanish."""
     zero = weights == 0.0
     if np.any(zero & (means_sq != 0.0)):
         raise DegenerateInterval(
             "zero-variance component with nonzero mean: noncentrality is undefined"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(zero, 0.0, means_sq / np.where(zero, 1.0, weights))
+    return means_sq / np.where(zero, 1.0, weights)
 
 
 def _spectral_parts(
@@ -401,34 +413,27 @@ def return_moments(
     om = -math.expm1(-kappa * dt)  # 1 - phi
     mu_bar = (params.alpha - params.x0) * om * np.exp(-kappa * tau)
     s2 = params.sigma**2 / (2.0 * kappa)
-    q = ou_variance(params, dt)
+    q = _one_step_variance(params, dt)
     var_bar = q + om * om * (s2 * -np.expm1(-2.0 * kappa * tau))
 
-    T = schedule.horizon
-    scale = 100.0**2 / T
-    n = schedule.n_obs
-    nu = n - 1
-    common = dict(
-        mu_bar=mu_bar,
-        var_bar=var_bar,
-        nu=nu,
-        lambda_bar=float(np.sum(mu_bar**2) / var_bar[-1]) if var_bar[-1] > 0 else 0.0,
-        sigma_N=math.sqrt(var_bar[-1]),
-        horizon=T,
-    )
-
+    nu = schedule.n_obs - 1
     if independent_increments or nu == 1:
-        return ReturnMoments(
-            alpha_bar=scale * var_bar,
-            _delta_bar=_noncentralities(var_bar, mu_bar**2),
-            **common,
-        )
+        return _return_moments(mu_bar, var_bar, schedule.horizon)
+    return _return_moments(mu_bar, var_bar, schedule.horizon,
+                           _spectral_parts(kappa * dt, q, nu, params.x0 - params.alpha))
 
-    lam, delta = _spectral_parts(kappa * dt, q, nu, params.x0 - params.alpha)
+
+def _return_moments(mu_bar, var_bar, horizon: float, spectral=None) -> ReturnMoments:
+    """ReturnMoments of the returns N(mu_bar_i, var_bar_i): weights and
+    noncentralities from ``spectral``, those of the returns' covariance, or
+    else those of independent returns; lambda_bar and sigma_N from the last."""
+    mu_sq = mu_bar**2
+    weights, delta_bar = spectral or (var_bar, _noncentralities(var_bar, mu_sq))
+    var_n = var_bar[-1]
     return ReturnMoments(
-        alpha_bar=scale * lam,
-        _delta_bar=delta,
-        **common,
+        mu_bar=mu_bar, alpha_bar=(100.0**2 / horizon) * weights, var_bar=var_bar,
+        _delta_bar=delta_bar, nu=mu_bar.size, horizon=horizon, sigma_N=math.sqrt(var_n),
+        lambda_bar=float(np.sum(mu_sq) / var_n) if var_n > 0 else 0.0,
     )
 
 
@@ -453,15 +458,4 @@ def iid_return_moments(
         raise DomainError(f"horizon must be > 0, got {horizon}")
     if np.any(sigma_bar < 0):
         raise DomainError("sigma_bar entries must be >= 0")
-    var_bar = sigma_bar**2
-    sigma_n = float(sigma_bar[-1])
-    return ReturnMoments(
-        mu_bar=mu_bar,
-        alpha_bar=(100.0**2 / horizon) * var_bar,
-        var_bar=var_bar,
-        nu=mu_bar.size,
-        lambda_bar=float(np.sum(mu_bar**2) / var_bar[-1]) if var_bar[-1] > 0 else 0.0,
-        sigma_N=sigma_n,
-        horizon=horizon,
-        _delta_bar=_noncentralities(var_bar, mu_bar**2),
-    )
+    return _return_moments(mu_bar, sigma_bar**2, horizon)

@@ -10,8 +10,10 @@ noncentral chi-square closed form, which also serves the sigma-derivatives
 that vega differentiates the same series through.  Those closed forms are
 written once, in mpmath: ``ncchi_moment`` and ``ncchi_moment_dsigma``, which
 also give the swaps' volatility strikes and vegas, round their value at 30
-digits.  A double-precision E[RV] or E[sqrt(RV)] for the time-varying
-regime is the strike of ``swaps.var_swap_tv`` or ``swaps.vol_swap_tv``.
+digits.  They serve every lambda_bar >= 0 with one formula, behind one
+check (``_check_constant_regime``) that every closed form shares.  A
+double-precision E[RV] or E[sqrt(RV)] for the time-varying regime is the
+strike of ``swaps.var_swap_tv`` or ``swaps.vol_swap_tv``.
 
 Two numerical safeguards are essential and handled internally:
 
@@ -36,6 +38,7 @@ a Monte Carlo run never needs mpmath.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Protocol
@@ -225,21 +228,30 @@ def _scaled_gamma_ratio(ell, eta, sigma_N: float, T: float, shift: int):
     )
 
 
+def _check_constant_regime(eta: float, lambda_bar: float, sigma_N: float, T: float) -> None:
+    """Reject closed-form inputs unless finite, eta, sigma_N, T > 0, lambda_bar >= 0."""
+    if not (all(map(math.isfinite, (eta, lambda_bar, sigma_N, T)))
+            and min(eta, sigma_N, T) > 0 and lambda_bar >= 0):
+        raise DomainError(
+            "constant-regime closed forms require eta, sigma_N, T > 0 and lambda_bar >= 0, "
+            f"all finite; got eta={eta}, lambda_bar={lambda_bar}, sigma_N={sigma_N}, T={T}"
+        )
+
+
 def _ncchi_moment(ell, eta, lambda_bar, sigma_N, T):
+    """The closed form behind every constant-regime moment, for any
+    lambda_bar >= 0: at lambda_bar = 0 the exponential and 1F1 are exactly 1."""
     if not ell > 0:
         raise DomainError(f"ncchi_moment requires ell > 0, got {ell}")
+    _check_constant_regime(eta, lambda_bar, sigma_N, T)
     ell, eta, lam = mpm.mpf(ell), mpm.mpf(eta), mpm.mpf(lambda_bar)
     base = _scaled_gamma_ratio(ell, eta, sigma_N, T, 0)
-    if lam == 0:
-        return base
     return base * mpm.exp(-lam / 2) * mpm.hyp1f1(ell + eta / 2, eta / 2, lam / 2)
 
 
 def _ncchi_moment_dsigma(ell, eta, lambda_bar, sigma_N, sigma, T):
     mom = _ncchi_moment(ell, eta, lambda_bar, sigma_N, T)
     ell, eta, lam, sigma = mpm.mpf(ell), mpm.mpf(eta), mpm.mpf(lambda_bar), mpm.mpf(sigma)
-    if lam == 0:
-        return 2 * ell / sigma * mom
     extra = (
         _scaled_gamma_ratio(ell, eta, sigma_N, T, 1)
         * (lam * mpm.exp(-lam / 2) / sigma)
@@ -249,11 +261,9 @@ def _ncchi_moment_dsigma(ell, eta, lambda_bar, sigma_N, sigma, T):
 
 
 def ncchi_moment(ell: float, eta: float, lambda_bar: float, sigma_N: float, T: float) -> float:
-    """E[RV^ell] in the constant regime.
-
+    """E[RV^ell] in the constant regime, for any lambda_bar >= 0:
     ``scaling^ell 2^ell e^{-lambda/2} Gamma(ell+eta/2)/Gamma(eta/2)
-    1F1(ell+eta/2; eta/2; lambda/2)``; the central case drops the
-    exponential/hypergeometric pair.
+    1F1(ell+eta/2; eta/2; lambda/2)``.
     """
     with MP_LOCK, mpm.workdps(_FLOAT_DPS):
         return float(_ncchi_moment(ell, eta, lambda_bar, sigma_N, T))
@@ -265,13 +275,13 @@ def ncchi_moment_dsigma(
     """d/d(sigma) of E[RV^ell] in the constant regime.
 
     sigma_N scales with sigma and lambda_bar with 1/sigma^2 (interval means
-    fixed), giving for lambda_bar > 0::
+    fixed), giving::
 
         (lambda + 2 ell)/sigma E[RV^ell]
         - scaling 2^ell (lambda e^{-lambda/2}/sigma)
           Gamma(1+ell+eta/2)/Gamma(1+eta/2) 1F1(1+ell+eta/2; 1+eta/2; lambda/2)
 
-    and ``(2 ell / sigma) E[RV^ell]`` in the central case.
+    whose second term vanishes in the central case.
     """
     with MP_LOCK, mpm.workdps(_FLOAT_DPS):
         return float(_ncchi_moment_dsigma(ell, eta, lambda_bar, sigma_N, sigma, T))

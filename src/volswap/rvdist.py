@@ -4,11 +4,11 @@ Y_i ~ noncentral chi-square(1, delta_bar_i).
 The paper expands the density in generalized Laguerre polynomials around a
 Gamma(p, 2*beta_bar) envelope, p = nu/2, with a free shape center mu0:
 
-    f(y) = g(y) sum_k k!/Gamma(p+k) c_k L_k^{(p-1)}(p y / (2 beta_bar mu0)),
+    f(y) = g(y) sum_k k!/(p)_k c_k L_k^{(p-1)}(p y / (2 beta_bar mu0)),
 
-where g is the envelope density.  With r_i = alpha_bar_i/beta_bar,
-h_i = 1 + r_i (p/mu0 - 1), xi_i = (1 - r_i)/h_i and
-w_i = delta_bar_i alpha_bar_i / (beta_bar mu0 h_i), the coefficients are
+where g is the envelope density and (p)_k = Gamma(p+k)/Gamma(p).  With
+r_i = alpha_bar_i/beta_bar, h_i = 1 + r_i (p/mu0 - 1), xi_i = (1 - r_i)/h_i
+and w_i = delta_bar_i alpha_bar_i / (beta_bar mu0 h_i), the coefficients are
 those of the generating function
 
     G(z) = sum_k c_k z^k
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, count
 from operator import mul
 from typing import NamedTuple
 
@@ -134,7 +135,7 @@ def _ratios(rm: ReturnMoments, cfg: ExpansionConfig) -> tuple[float, float]:
 
 
 def _check_weights(rm: ReturnMoments) -> None:
-    if np.any(rm.alpha_bar <= 0.0):
+    if not rm._alpha_range[0] > 0.0:
         raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
 
 
@@ -201,20 +202,21 @@ def pdf(rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, y):
     if np.any(y_arr <= 0.0):
         raise DomainError("pdf requires y > 0")
     p = rm.nu / 2.0
-    beta = cfg.beta_bar
-    # y / (2 beta) in exact arithmetic, kept as p y / (2 beta p): the two
-    # round differently, and this one keeps the density output bit-stable.
-    x = p * y_arr / (2.0 * beta * p)
+    x = y_arr / (2.0 * cfg.beta_bar)
+    # sum_k [k!/(p)_k] c_k L_k^{(p-1)}(x); k!/(p)_k = (-ell)_k/(p)_k at ell = -1
+    terms = zip(co.c, laguerre_polys(p - 1.0, x), _poch_ratios(-1.0, p))
+    acc = sum(weight * ck * lag for ck, lag, weight in terms)
 
-    # sum_k [k!/Gamma(p+k)] c_k L_k^{(p-1)}(x)
-    acc = np.zeros_like(y_arr)
-    for k, lag in zip(range(co.c.shape[0]), laguerre_polys(p - 1.0, x)):
-        weight = math.exp(math.lgamma(k + 1.0) - math.lgamma(p + k))
-        acc = acc + weight * co.c[k] * lag
-
-    log_env = -y_arr / (2.0 * beta) + (p - 1.0) * np.log(y_arr) - p * math.log(2.0 * beta)
+    # The Gamma(p, 2 beta) log-density: with Gamma(p) here, not in the
+    # weights, neither overflows at large N.
+    log_env = -x + (p - 1.0) * np.log(y_arr) - p * math.log(2.0 * cfg.beta_bar) - math.lgamma(p)
     out = np.exp(log_env) * acc
     return out if out.ndim else float(out)
+
+
+def _poch_ratios(ell: float, p: float):
+    """(-ell)_k/(p)_k for k = 0, 1, ..., each by the O(1) step (k-1-ell)/(p+k-1)."""
+    return accumulate(((k - 1 - ell) / (p + k - 1) for k in count(1)), mul, initial=1)
 
 
 def _moment_terms(rm: ReturnMoments, cfg: ExpansionConfig, c, ell: float):
@@ -223,14 +225,11 @@ def _moment_terms(rm: ReturnMoments, cfg: ExpansionConfig, c, ell: float):
 
     (-ell)_k/(p)_k is 2F1(-k, p+ell; p; 1) in closed form (Chu-Vandermonde);
     the finite sum would cancel catastrophically for large k, so the closed
-    form is stepped by an O(1) ratio recurrence.
+    form is stepped by ``_poch_ratios``.
     """
     p = rm.nu / 2
     front = math.exp(ell * math.log(2 * cfg.beta_bar) + math.lgamma(p + ell) - math.lgamma(p))
-    hyp = 1
-    for k, ck in enumerate(c):
-        if k > 0:
-            hyp *= (k - 1 - ell) / (p + k - 1)
+    for ck, hyp in zip(c, _poch_ratios(ell, p)):
         yield front * ck * hyp
 
 

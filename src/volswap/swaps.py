@@ -5,11 +5,13 @@ Two regimes are supported:
 * time-varying per-interval volatility — strikes come from fractional
   moments of the realized-variance Laguerre expansion (``*_tv``);
 * constant per-interval volatility — realized variance reduces to a single
-  scaled noncentral chi-square, giving closed forms (``*_ncchi`` when the
-  noncentrality is positive, ``*_central`` when it vanishes), plus analytic
-  vegas.  Every volatility strike and vega is the chi-square's E[RV^{1/2}]
-  or its sigma-derivative from :func:`options.ncchi_moment`; the variance
-  strike ``sigma_N^2/T (eta+lambda_bar) 100^2`` needs no special function.
+  scaled noncentral chi-square, giving closed forms (``*_ncchi`` for any
+  noncentrality lambda_bar >= 0, ``*_central`` and ``*_const_c`` its
+  lambda_bar = 0 cases), plus analytic vegas.  Every volatility strike and
+  vega is the chi-square's E[RV^{1/2}] or its sigma-derivative from
+  :func:`options.ncchi_moment`; the variance strike
+  ``sigma_N^2/T (eta+lambda_bar) 100^2`` needs no special function.  All
+  share the input check of ``options``.
 
 Volatility strikes are quoted in volatility points (x100), variance strikes
 in variance points (x100^2).
@@ -25,7 +27,7 @@ from typing import Optional
 from . import rvdist
 from .errors import DomainError, InvalidConfig, RegimeError
 from .model import ReturnMoments, SchwartzParams
-from .options import ncchi_moment, ncchi_moment_dsigma
+from .options import _check_constant_regime, ncchi_moment, ncchi_moment_dsigma
 
 __all__ = [
     "Method",
@@ -87,16 +89,6 @@ def var_swap_tv(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None)
     return _tv_quote(rm, cfg, 1.0)
 
 
-def _check_constant_regime(eta: float, lambda_bar: float, sigma_N: float, T: float) -> None:
-    """Reject closed-form inputs unless finite, eta, sigma_N, T > 0, lambda_bar >= 0."""
-    if not (all(map(math.isfinite, (eta, lambda_bar, sigma_N, T)))
-            and min(eta, sigma_N, T) > 0 and lambda_bar >= 0):
-        raise DomainError(
-            "constant-regime closed forms require eta, sigma_N, T > 0 and lambda_bar >= 0, "
-            f"all finite; got eta={eta}, lambda_bar={lambda_bar}, sigma_N={sigma_N}, T={T}"
-        )
-
-
 def vol_swap_const_c(c: float, nu: float, T: float) -> SwapQuote:
     """Volatility-swap strike when every interval has common variance c:
     ``sqrt(2 c / T) * Gamma((nu+1)/2)/Gamma(nu/2) * 100``, which is
@@ -121,21 +113,18 @@ def var_swap_const_c(c: float, nu: float, T: float) -> SwapQuote:
 
 
 def vol_swap_ncchi(eta: float, lambda_bar: float, sigma_N: float, T: float) -> SwapQuote:
-    """Constant-regime volatility-swap strike with drift, E[RV^{1/2}] =
-    ``sigma_N sqrt(pi/(2T)) L_{1/2}^{(eta/2-1)}(-lambda_bar/2) * 100``."""
-    _check_constant_regime(eta, lambda_bar, sigma_N, T)
-    if not lambda_bar > 0:
-        raise DomainError("vol_swap_ncchi requires lambda_bar > 0 (use vol_swap_central)")
+    """Constant-regime volatility-swap strike, E[RV^{1/2}] =
+    ``sigma_N sqrt(pi/(2T)) L_{1/2}^{(eta/2-1)}(-lambda_bar/2) * 100``, for
+    any lambda_bar >= 0."""
     strike = ncchi_moment(0.5, eta, lambda_bar, sigma_N, T)
     return SwapQuote(strike, Method.NCCHI_CLOSED_FORM, terms_used=1)
 
 
 def vol_swap_central(eta: float, sigma_N: float, T: float) -> SwapQuote:
     """Constant-regime, zero-drift volatility-swap strike E[RV^{1/2}] =
-    ``sigma_N sqrt(2/T) Gamma((eta+1)/2)/Gamma(eta/2) * 100``."""
-    _check_constant_regime(eta, 0.0, sigma_N, T)
-    strike = ncchi_moment(0.5, eta, 0.0, sigma_N, T)
-    return SwapQuote(strike, Method.CENTRAL_CLOSED_FORM, terms_used=1)
+    ``sigma_N sqrt(2/T) Gamma((eta+1)/2)/Gamma(eta/2) * 100``,
+    :func:`vol_swap_ncchi` at lambda_bar = 0."""
+    return replace(vol_swap_ncchi(eta, 0.0, sigma_N, T), method=Method.CENTRAL_CLOSED_FORM)
 
 
 def var_swap_ncchi(eta: float, lambda_bar: float, sigma_N: float, T: float) -> SwapQuote:

@@ -133,6 +133,44 @@ def test_negative_seed_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert err == "error: seed must be >= 0, got " + argv[-1] + "\n"
 
 
+def test_price_validate_mc_with_closed_form_exit_2(capsys):
+    # once printed the closed form's 204 beside the default model's mc_mean 24.9
+    code, out, err = run_cli(
+        capsys, "price", "--contract", "var-swap", "--method", "central",
+        "--eta", "51", "--sigma-n", "0.02", "--validate-mc", "1000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --validate-mc simulates the model")
+
+
+def test_price_underflowing_step_variance_exit_2(capsys):
+    # once printed value nan, bound 0 and mc_mean inf with exit 0
+    code, out, err = run_cli(
+        capsys, "price", "--contract", "var-swap", "--sigma", "1e-160", "--kappa", "1.5",
+        "--N", "52", "--validate-mc", "100",
+    )
+    assert code == 2
+    assert out == ""
+    assert "one-step variance" in err
+
+
+def test_pdf_not_finite_exit_3(capsys):
+    code, out, err = run_cli(capsys, "pdf", "--y-max", "1e300", "--points", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the density series is not finite at y = ")
+
+
+def test_pdf_large_n_is_finite(capsys):
+    # printed nan with exit 0 before the envelope carried -ln Gamma(p)
+    code, out, _ = run_cli(capsys, "pdf", "--sigma", "0.08", "--kappa", "1.5",
+                           "--N", "1000", "--points", "50")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert all(math.isfinite(float(d)) for _, d in rows)
+
+
 def test_price_ncchi_large_noncentrality(capsys):
     # e^{-lambda/2} 1F1 overflows double precision from lambda_bar ~ 1420 on
     code, out, _ = run_cli(

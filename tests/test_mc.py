@@ -45,6 +45,13 @@ def test_near_zero_vol_is_deterministic_drift():
     assert np.all(np.abs(samples / target - 1.0) < 1e-6)
 
 
+def test_underflowing_step_variance_refused_before_streams(monkeypatch):
+    params, schedule = _setup(sigma=1e-160)
+    monkeypatch.setattr(mc, "_stream_rv", lambda *a: pytest.fail("a stream started"))
+    with pytest.raises(DomainError, match="one-step variance"):
+        mc.simulate_rv(params, schedule, mc.McConfig(n_paths=100, seed=3))
+
+
 def test_two_point_mean_matches_moments():
     from volswap.model import return_moments
 

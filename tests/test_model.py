@@ -493,6 +493,50 @@ def test_iid_constructor_and_regime_flag():
     assert not rm_tv.is_constant_regime()
 
 
+def _elementwise_constant(a):
+    """The regime's definition: every weight within 1e-9 relative of the last."""
+    return bool(np.all(np.abs(a - a[-1]) <= 1e-9 * abs(a[-1])))
+
+
+@pytest.mark.parametrize("rel", [0.5e-9, 1e-9, 2e-9])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("last", [1.0, 4.0, 0.0123, 37.5, 2.0**-30])
+def test_constant_regime_flag_matches_elementwise_definition(rel, sign, last):
+    # is_constant_regime reads only the weight extremes; weights stepped a few
+    # ulps either side of last (1 + sign rel) probe the 1e-9 boundary
+    hits = set()
+    for ulps in range(-3, 4):
+        w = last * (1.0 + sign * rel)
+        w = w + ulps * abs(np.spacing(w))
+        for weights in ([w, last, last], [last, w, last], [w, 2 * last - w, last]):
+            a = np.array(weights)
+            rm = model.ReturnMoments(mu_bar=np.zeros(3), alpha_bar=a, var_bar=a,
+                                     _delta_bar=np.zeros(3), nu=3)
+            expected = _elementwise_constant(a)
+            assert rm.is_constant_regime() is expected, (weights, expected)
+            hits.add(expected)
+    if rel != 1e-9:
+        assert hits == {rel < 1e-9}
+
+
+def test_iid_sigma_n_is_the_last_volatility():
+    rng = np.random.default_rng(5)
+    sigma_bar = np.exp(rng.uniform(-12.0, 2.0, 2000))
+    for i in range(0, sigma_bar.size, 7):
+        rm = iid_return_moments(np.zeros(1), sigma_bar[i : i + 1], horizon=1.0)
+        assert rm.sigma_N == sigma_bar[i]
+
+
+def test_one_step_variance_underflow_refused():
+    # at sigma = 1e-160 the one-step variance is subnormal; the swap quote once
+    # printed nan with bound 0 and the Monte Carlo mean inf
+    params = SchwartzParams(s0=2.0, mu=0.6, sigma=1e-160, kappa=1.5)
+    schedule = Schedule(t1=0.0, horizon=1.0, n_obs=52)
+    for independent in (False, True):
+        with pytest.raises(DomainError, match="one-step variance"):
+            return_moments(params, schedule, independent)
+
+
 def test_iid_constructor_validation():
     with pytest.raises(DomainError):
         iid_return_moments(np.zeros(3), np.full(2, 0.1), horizon=1.0)

@@ -567,3 +567,29 @@ def test_ncchi_moments_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         nm.sigma = 0.06
     assert NcchiMoments(9.0, 0.8, 0.05, 0.05, 1.0) == nm
+
+
+_REGIME_OK = dict(eta=3.0, lambda_bar=0.5, sigma_N=0.02, T=1.0)
+_REGIME_ENTRIES = {
+    "NcchiMoments.moment_hp": lambda a: NcchiMoments(sigma=0.05, **a).moment_hp(0.5, 30),
+    "NcchiMoments.dmoment_dsigma_hp":
+        lambda a: NcchiMoments(sigma=0.05, **a).dmoment_dsigma_hp(0.5, 30),
+    "ncchi_moment": lambda a: ncchi_moment(0.5, **a),
+    "ncchi_moment_dsigma": lambda a: ncchi_moment_dsigma(0.5, sigma=0.05, **a),
+    "vol_swap_ncchi": lambda a: swaps.vol_swap_ncchi(**a).strike,
+    "var_swap_ncchi": lambda a: swaps.var_swap_ncchi(**a).strike,
+}
+
+
+@pytest.mark.parametrize("bad", [
+    dict(lambda_bar=-0.5), dict(sigma_N=-0.02), dict(sigma_N=0.0), dict(T=0.0),
+    dict(eta=-3.0), dict(eta=0.0), dict(T=math.inf), dict(lambda_bar=math.nan),
+], ids=lambda bad: "%s=%s" % next(iter(bad.items())))
+@pytest.mark.parametrize("entry", _REGIME_ENTRIES)
+def test_constant_regime_inputs_refused(entry, bad):
+    # the option entries once returned numbers at lambda_bar < 0 and sigma_N < 0,
+    # and raised ZeroDivisionError at T = 0 and a bare ValueError at eta < 0
+    call = _REGIME_ENTRIES[entry]
+    assert math.isfinite(call(_REGIME_OK))
+    with pytest.raises(DomainError, match="^constant-regime closed forms require"):
+        call(_REGIME_OK | bad)

@@ -101,6 +101,10 @@ def test_coeffs_rejects_nonpositive_weights():
     rm = iid_return_moments(np.zeros(2), np.array([0.1, 0.0]), horizon=1.0)
     with pytest.raises(InvalidConfig):
         rvdist.coeffs(rm, ExpansionConfig(beta_bar=100.0, k_max=3))
+    # a nan weight is refused too: the check reads the weight extremes
+    rm = iid_return_moments(np.zeros(2), np.array([0.1, np.nan]), horizon=1.0)
+    with pytest.raises(InvalidConfig):
+        rvdist.coeffs(rm, ExpansionConfig(beta_bar=100.0, k_max=3))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,27 @@ def test_pdf_normalization(n_obs, sigma):
         lambda y: rvdist.pdf(rm, cfg, co, y), 1e-12, upper, limit=300
     )
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_obs", [252, 1000, 5000])
+@pytest.mark.parametrize("sigma,kappa", [(0.08, 1.5), (0.2, 0.1)])
+def test_pdf_finite_and_normalized_at_large_n(sigma, kappa, n_obs):
+    """From N ~ 400 the density once returned nan: the weights k!/Gamma(p+k)
+    and the unnormalized envelope overflowed apart.
+
+    A separate defect remains at the drift corners: there the K=25 density on
+    the default envelope is finite but wrong (it integrates to about 6e22 at
+    sigma = 0.005, kappa = 5, N = 252), because the envelope does not cover
+    the distribution; that needs another envelope, not this fix.
+    """
+    _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+    cfg = _cfg(rm, k_max=rvdist.DEFAULT_K_PDF)
+    co = rvdist.coeffs(rm, cfg)
+    envelope = stats.gamma(a=rm.nu / 2.0, scale=2.0 * cfg.beta_bar)
+    y = np.linspace(envelope.ppf(1e-15), envelope.ppf(1 - 1e-15), 20001)
+    dens = rvdist.pdf(rm, cfg, co, y)
+    assert np.all(np.isfinite(dens))
+    assert integrate.simpson(dens, x=y) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_moment_consistency_with_quadrature(example_instance):

@@ -46,8 +46,12 @@ def test_const_c_domain_errors():
         swaps.vol_swap_const_c(c=0.0, nu=1.0, T=1.0)
     with pytest.raises(DomainError):
         swaps.var_swap_const_c(c=1.0, nu=-1.0, T=1.0)
-    with pytest.raises(DomainError):
-        swaps.vol_swap_ncchi(3, 0.0, 0.02, 1.0)
+    # lambda_bar = 0 is the central case of the one closed form, bit for bit
+    for eta, sigma_n, T in ((3, 0.02, 1.0), (51.0, 0.02, 1.0), (1.0, 0.3, 0.25),
+                            (251, 0.001, 2.0), (4999, 0.001, 1.0)):
+        central = swaps.vol_swap_central(eta, sigma_n, T)
+        assert swaps.vol_swap_ncchi(eta, 0.0, sigma_n, T).strike == central.strike
+        assert central.method is swaps.Method.CENTRAL_CLOSED_FORM
 
 
 # ---------------------------------------------------------------------------
