@@ -461,14 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(p)
     p.set_defaults(func=cmd_bound_table)
 
-    p = sub.add_parser("reproduce", help="emit reference figure/table data sets")
+    # CSV files into --out-dir, so no --format or --out; and no abbreviations,
+    # which would take --out for --out-dir.
+    p = sub.add_parser("reproduce", help="emit reference figure/table data sets",
+                       allow_abbrev=False)
     p.add_argument("target", choices=_REPRODUCE)
     p.add_argument("--out-dir", default="reproduce-out", dest="out_dir")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--sigma", type=float, default=0.05, help="fig3 volatility")
     p.add_argument("--points", type=int, default=200)
-    _common_args(p)
+    p.add_argument("--config", default=None, help="key=value defaults file")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

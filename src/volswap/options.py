@@ -250,6 +250,8 @@ def _ncchi_moment(ell, eta, lambda_bar, sigma_N, T):
 
 
 def _ncchi_moment_dsigma(ell, eta, lambda_bar, sigma_N, sigma, T):
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"the sigma-derivative requires a finite sigma > 0, got {sigma}")
     mom = _ncchi_moment(ell, eta, lambda_bar, sigma_N, T)
     ell, eta, lam, sigma = mpm.mpf(ell), mpm.mpf(eta), mpm.mpf(lambda_bar), mpm.mpf(sigma)
     extra = (

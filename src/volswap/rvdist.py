@@ -34,9 +34,9 @@ for the option pricer in :func:`coeffs_hp`: a resumable integer kernel of
 P = (working precision + 64) bits forms the power sums, the d_j and the
 c_k, and continues an earlier list instead of rebuilding it.
 :func:`raw_moment_hp` sums the moment series in the same fixed point, and
-:func:`raw_moment` in double precision (``_moment_terms``).  Each product
-is truncated once (an error below 2^-P) and each exact sum rounded once to
-an mpmath real.  Both multiply by the front factor
+:func:`raw_moment` in double precision.  Each fixed-point product is
+truncated once (an error below 2^-P) and each exact sum rounded once to an
+mpmath real.  Both multiply by the front factor
 (2 beta_bar)^ell Gamma(p+ell)/Gamma(p), formed by the same expression in
 ``math`` and in mpmath at the working precision.
 
@@ -139,41 +139,29 @@ def _check_weights(rm: ReturnMoments) -> None:
         raise InvalidConfig("all alpha_bar_i must be > 0 for the expansion")
 
 
-def _build(rm: ReturnMoments, cfg: ExpansionConfig, s, u):
-    """(c, d): c_0..c_K and d_0..d_K in double precision, K = len(s).
+def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
+    """The expansion coefficients c_0..c_K in double precision, in one loop
+    over the orders j = 1..K.
 
-    c_0 = 1; for k >= 1 ``k c_k = sum_{j=1..k} d_j c_{k-j}`` with
-    ``d_j = 1/2 s_j - (j / (2 beta)) U_{j-1}``, where ``s[j-1]`` is the
-    power sum s_j = sum_i xi_i^j and ``u[m]`` the noncentral sum
-    U_m = sum_i delta_i alpha_bar_i xi_i^m, m = 0..K-1.
+    c_0 = 1 and ``j c_j = sum_{i=1..j} d_i c_{j-i}`` with
+    ``d_j = 1/2 s_j - (j / (2 beta)) U_{j-1}``, where s_j = sum_i xi_i^j is a
+    power sum and U_m = sum_i delta_i alpha_bar_i xi_i^m a noncentral sum
+    (those of ``ReturnMoments.mean_forms``), each power formed from the last
+    by one product.
     """
     _check_weights(rm)
-    K = len(s)
-    beta = cfg.beta_bar
+    K, beta = cfg.k_max, cfg.beta_bar
+    xi = xij = 1 - rm.alpha_bar / beta
+    v = rm._delta_alpha  # delta_i alpha_bar_i xi_i^(j-1)
     c = np.zeros(K + 1)
     c[0] = 1.0
     d = np.zeros(K + 1)
     for j in range(1, K + 1):
-        d[j] = s[j - 1] / 2 - j / (2 * beta) * u[j - 1]
-    for k in range(1, K + 1):
-        c[k] = np.dot(c[:k][::-1], d[1 : k + 1]) / k
-    return c, d
-
-
-def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
-    """The expansion coefficients c_0..c_K (see ``_build``) in double
-    precision, with the power sums s_j and the noncentral sums U_m (those of
-    ``ReturnMoments.mean_forms``) formed by repeated products in one pass."""
-    xi = xij = 1 - rm.alpha_bar / cfg.beta_bar
-    v = rm._delta_alpha
-    s, u = [], []
-    for j in range(cfg.k_max):
-        if j:
+        if j > 1:
             xij = xij * xi
             v = v * xi
-        s.append(float(np.sum(xij)))
-        u.append(float(np.sum(v)))
-    c, d = _build(rm, cfg, s, u)
+        d[j] = float(np.sum(xij)) / 2 - j / (2 * beta) * float(np.sum(v))
+        c[j] = np.dot(c[:j][::-1], d[1 : j + 1]) / j
     return ExpansionCoeffs(c=c, d=d, zeta=_ratios(rm, cfg)[0])
 
 
@@ -219,31 +207,30 @@ def _poch_ratios(ell: float, p: float):
     return accumulate(((k - 1 - ell) / (p + k - 1) for k in count(1)), mul, initial=1)
 
 
-def _moment_terms(rm: ReturnMoments, cfg: ExpansionConfig, c, ell: float):
-    """Yield the terms ``(2 beta)^ell Gamma(p+ell)/Gamma(p) c_k (-ell)_k/(p)_k``
-    of the moment series in double precision, one per coefficient.
-
-    (-ell)_k/(p)_k is 2F1(-k, p+ell; p; 1) in closed form (Chu-Vandermonde);
-    the finite sum would cancel catastrophically for large k, so the closed
-    form is stepped by ``_poch_ratios``.
-    """
-    p = rm.nu / 2
-    front = math.exp(ell * math.log(2 * cfg.beta_bar) + math.lgamma(p + ell) - math.lgamma(p))
-    for ck, hyp in zip(c, _poch_ratios(ell, p)):
-        yield front * ck * hyp
-
-
 def raw_moment(
     rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, ell: float
 ) -> SeriesResult:
-    """Raw moment E[RV^ell] for any ell > 0 from the truncated expansion
-    (terms of ``_moment_terms``); converged when the last term is within
-    1e-8 of the sum."""
+    """Raw moment E[RV^ell] for any ell > 0 from the truncated expansion,
+    the sum of ``(2 beta)^ell Gamma(p+ell)/Gamma(p) c_k (-ell)_k/(p)_k``
+    over k = 0..K; converged when the last term is within 1e-8 of the sum.
+
+    (-ell)_k/(p)_k is 2F1(-k, p+ell; p; 1) in closed form (Chu-Vandermonde);
+    the finite sum would cancel catastrophically for large k, so the closed
+    form is stepped by ``_poch_ratios``.  For integer ell it is exactly 0
+    from k = ell + 1 on: the series ends there, and the sum stops before the
+    c_k past its end, which may have overflowed.
+    """
     if not ell > 0:
         raise DomainError(f"raw_moment requires ell > 0, got {ell}")
+    p = rm.nu / 2
+    front = math.exp(ell * math.log(2 * cfg.beta_bar) + math.lgamma(p + ell) - math.lgamma(p))
     total = 0.0
     last = 0.0
-    for last in _moment_terms(rm, cfg, co.c, ell):
+    for ck, hyp in zip(co.c, _poch_ratios(ell, p)):
+        if not hyp:
+            last = 0.0
+            break
+        last = front * ck * hyp
         total += last
 
     converged = abs(last) <= 1e-8 * abs(total)
@@ -358,8 +345,8 @@ def _log_abs_poch(ell: float, k: int) -> float:
 
 @dataclass
 class _HpKernel:
-    """The recurrence of ``_build`` in fixed point, resumable: every number is
-    a Python integer scaled by 2^P, P = prec + ``_GUARD_BITS``.
+    """The recurrence of :func:`coeffs` in fixed point, resumable: every number
+    is a Python integer scaled by 2^P, P = prec + ``_GUARD_BITS``.
 
     ``x`` and ``w`` hold floor(xi_i 2^P) and floor(delta_i alpha_bar_i 2^P)
     of the exact rationals the float inputs define, ``beta`` is beta_bar as
@@ -510,7 +497,7 @@ def raw_moment_hp(rm: ReturnMoments, cfg: ExpansionConfig, c_hp, ell: float, dps
                 f"raw_moment_hp(ell={ell}): cancellation leaves {kept:.1f} of {dps} "
                 f"digits, fewer than {_MIN_DIGITS}; raise dps"
             )
-        # (2 beta)^ell Gamma(p+ell)/Gamma(p), as in ``_moment_terms``
+        # (2 beta)^ell Gamma(p+ell)/Gamma(p), as in :func:`raw_moment`
         p, ell = mpm.mpf(rm.nu) / 2, mpm.mpf(ell)
         front = mpm.exp(ell * mpm.log(2 * mpm.mpf(cfg.beta_bar))
                         + mpm.loggamma(p + ell) - mpm.loggamma(p))
@@ -522,7 +509,8 @@ def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int
 
     ``B = (2 beta)^ell sum_{k>K} Gamma(p+ell)/Gamma(p) |(-ell)_k|/(p)_k b_k``
     with b_k the :func:`coeff_bound` of |c_k|; requires a certified
-    zeta < 1 and ell > 0.  The tail vanishes exactly for integer ell <= K.
+    zeta < 1 and ell > 0, except for integer ell <= K, where the tail
+    vanishes exactly and the bound is 0 without one.
     It is summed in log space, in blocks of orders, until the running term
     falls below 1e-16 of the accumulated sum (hard cap 1e5 terms); it
     returns inf once the sum exceeds the float range.
@@ -531,8 +519,10 @@ def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int
         raise DomainError(f"truncation_bound requires K >= 0, got {K}")
     if not ell > 0:
         raise DomainError(f"truncation_bound requires ell > 0, got {ell}")
+    if ell == int(ell) and K >= ell:
+        return 0.0  # the series ends at k = ell, whatever zeta is
     maj = _majorant(rm, cfg)
-    if maj.constant or (ell == int(ell) and K >= ell):
+    if maj.constant:
         return 0.0
     p = rm.nu / 2.0
     log_front = ell * math.log(2.0 * cfg.beta_bar)

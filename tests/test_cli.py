@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from volswap import cli, rvdist, swaps
+from conftest import make_instance
+from volswap import cli, mc, options, rvdist, swaps
 from volswap.model import ReturnMoments, Schedule, SchwartzParams, return_moments
 
 
@@ -206,6 +207,41 @@ def test_price_ncchi_call_outside_constant_regime_exit_3(capsys):
     assert "constant per-interval volatility regime" in err
 
 
+def test_price_ncchi_call_matches_library_bitwise(capsys):
+    # At N=2 the model is in the constant regime: the CLI's one way to price
+    # a call from NcchiMoments.
+    code, out, _ = run_cli(
+        capsys, "price", "--contract", "vol-call", "--method", "ncchi", "--N", "2",
+        "--strike", "5", "--sigma", "0.08", "--kappa", "1.5", "--k-terms", "100",
+    )
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    _, _, rm = make_instance(0.08, 1.5, 2)
+    spec = options.OptionSpec(rho=0.5, strike=5.0, k_terms=100)
+    price = options.call_price(
+        spec, options.NcchiMoments(rm.eta, rm.lambda_bar, rm.sigma_N, 0.08, 1.0)
+    )
+    assert rows[0][header.index("value")] == format(price.value, ".17g")
+    assert rows[0][header.index("value")] == "3.2509274961150347"
+    assert rows[0][header.index("terms")] == str(price.terms_used)
+
+
+def test_price_call_validate_mc_matches_library_bitwise(capsys):
+    code, out, _ = run_cli(
+        capsys, "price", "--contract", "var-call", *_CALL_MODEL,
+        "--validate-mc", "20000", "--seed", "7",
+    )
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    params, schedule, _ = make_instance(0.08, 1.5, 52)
+    samples = mc.simulate_rv(params, schedule, mc.McConfig(n_paths=20000, seed=7))
+    est = mc.estimate_call(samples, 1.0, 64.0, 1.0)
+    row = dict(zip(header, rows[0]))
+    assert row["mc_mean"] == format(est.mean, ".17g")
+    assert row["mc_se"] == format(est.std_error, ".17g")
+    assert abs(float(row["value"]) - est.mean) < 3.0 * est.std_error
+
+
 @pytest.mark.parametrize("contract", ["var-call", "vol-call"])
 @pytest.mark.parametrize("method", ["central", "const-c"])
 def test_price_call_rejects_swap_only_methods_exit_2(capsys, contract, method):
@@ -298,6 +334,24 @@ def test_pdf_zero_points_exit_2(capsys):
 # ---------------------------------------------------------------------------
 # bound-table
 # ---------------------------------------------------------------------------
+
+
+def test_pdf_inverted_range_exit_2(capsys):
+    code, out, err = run_cli(capsys, "pdf", "--y-min", "2", "--y-max", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: need 0 < y-min < y-max\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("pdf", "--points", "5"),
+    ("price", "--contract", "var-swap", "--format", "json"),
+])
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    path = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert code == 0
+    assert path.read_text() == out
 
 
 def test_bound_table_monotone_in_K_and_deterministic(capsys):
@@ -456,3 +510,90 @@ def test_reproduce_fig1_writes_density_curves(capsys, tmp_path):
     data = np.array([[float(v) for v in row] for row in rows])
     assert np.all(np.isfinite(data))
     assert np.all(data[:, 1:] >= -1e-12)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--format", "json"), ("--out", "x.json"), ("--format", "json", "--out", "x.json"),
+])
+def test_reproduce_refuses_format_and_out(capsys, tmp_path, flags):
+    # reproduce writes CSV files into --out-dir: it once took both flags and
+    # ignored them, and --out alone would abbreviate --out-dir
+    out_dir = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reproduce", "table1", "--out-dir", str(out_dir), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+_FIG2_FILES = sorted(f"fig2_N{n}_s{s}.csv" for n in (52, 252) for s in ("008", "010"))
+
+
+def test_reproduce_fig2_writes_histograms_and_densities(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "reproduce", "fig2", "--out-dir", str(tmp_path),
+                         "--paths", "200")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == _FIG2_FILES
+    for name in _FIG2_FILES:
+        meta, header, rows = parse_csv((tmp_path / name).read_text())
+        assert (meta["target"], meta["n_paths"]) == ("fig2", "200")
+        assert header == ["bin_center", "mc_density", "series_density"]
+        assert len(rows) == 100
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+def test_reproduce_failure_leaves_no_file(capsys, tmp_path, monkeypatch):
+    real, calls = mc.simulate_rv, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            assert [p.name for p in tmp_path.iterdir()] == ["fig2_N52_s008.csv"]
+            raise RuntimeError("simulation failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "simulate_rv", fail_second)
+    with pytest.raises(RuntimeError, match="simulation failed"):
+        cli.main(["reproduce", "fig2", "--out-dir", str(tmp_path), "--paths", "200"])
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reproduce_fig3_analytic_is_the_vol_swap_quote(capsys, tmp_path):
+    # fig3 sets its own path counts; --paths does not reach it
+    code, _, _ = run_cli(capsys, "reproduce", "fig3", "--out-dir", str(tmp_path),
+                         "--paths", "200")
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["fig3.csv"]
+    _, header, rows = parse_csv((tmp_path / "fig3.csv").read_text())
+    assert header == ["kappa", "n_paths", "mc_mean", "mc_se", "analytic"]
+    path_grid = [str(int(round(x))) for x in np.logspace(3, 5, 9)]
+    assert len(rows) == 27
+    for i, kappa in enumerate((0.5, 1.5, 3.0)):
+        strike = format(swaps.vol_swap_tv(make_instance(0.05, kappa, 252)[2]).strike, ".17g")
+        block = rows[9 * i : 9 * i + 9]
+        assert [r[1] for r in block] == path_grid
+        assert {(r[0], r[4]) for r in block} == {(cli._fmt(kappa), strike)}
+
+
+@pytest.mark.parametrize("target,points", [
+    ("fig4", [(kappa, float(sigma), 52)
+              for kappa in (0.5, 1.5, 3.0) for sigma in np.linspace(0.005, 0.1, 10)]),
+    ("fig5", [(0.5, sigma, n_obs)
+              for sigma in (0.05, 0.06, 0.07) for n_obs in (2, 13, 52, 126, 252)]),
+])
+def test_reproduce_swap_sweep_analytic_is_the_series_quote(capsys, tmp_path, target, points):
+    code, _, _ = run_cli(capsys, "reproduce", target, "--out-dir", str(tmp_path),
+                         "--paths", "200")
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == [f"{target}.csv"]
+    meta, header, rows = parse_csv((tmp_path / f"{target}.csv").read_text())
+    assert (meta["target"], meta["n_paths"]) == (target, "200")
+    assert header == ["kappa", "sigma", "N", "contract", "analytic", "mc_mean", "mc_se"]
+    assert len(rows) == 2 * len(points)
+    for (kappa, sigma, n_obs), vol, var in zip(points, rows[::2], rows[1::2]):
+        rm = make_instance(sigma, kappa, n_obs)[2]
+        key = [cli._fmt(kappa), cli._fmt(sigma), str(n_obs)]
+        assert vol[:5] == key + ["vol-swap", format(swaps.vol_swap_tv(rm).strike, ".17g")]
+        assert var[:5] == key + ["var-swap", format(swaps.var_swap_tv(rm).strike, ".17g")]
+        assert float(vol[6]) > 0 and float(var[6]) > 0

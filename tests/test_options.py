@@ -593,3 +593,18 @@ def test_constant_regime_inputs_refused(entry, bad):
     assert math.isfinite(call(_REGIME_OK))
     with pytest.raises(DomainError, match="^constant-regime closed forms require"):
         call(_REGIME_OK | bad)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.05, math.nan])
+@pytest.mark.parametrize("entry", ["NcchiMoments.dmoment_dsigma_hp", "ncchi_moment_dsigma"])
+def test_constant_regime_vega_sigma_refused(entry, sigma):
+    # the regime check does not cover sigma: these once raised ZeroDivisionError
+    # at sigma = 0, returned -58.89 at sigma = -0.05 and nan at sigma = nan
+    call = {
+        "NcchiMoments.dmoment_dsigma_hp":
+            lambda s: NcchiMoments(sigma=s, **_REGIME_OK).dmoment_dsigma_hp(0.5, 30),
+        "ncchi_moment_dsigma": lambda s: ncchi_moment_dsigma(0.5, sigma=s, **_REGIME_OK),
+    }[entry]
+    assert math.isfinite(call(0.05))
+    with pytest.raises(DomainError, match="^the sigma-derivative requires a finite sigma > 0"):
+        call(sigma)

@@ -324,6 +324,31 @@ def test_bound_preconditions():
             )
 
 
+def test_coeff_bound_refuses_a_zero_weight():
+    # a zero weight makes xi_i = 1 on the default envelope, so zeta = 1
+    rm = iid_return_moments(np.array([0.01, 0.0, 0.02]), np.array([0.03, 0.0, 0.05]), 1.0)
+    for k in (0, 1, 3):
+        with pytest.raises(PreconditionError, match="^zeta >= 1"):
+            rvdist.coeff_bound(rm, _cfg(rm), k)
+
+
+def test_truncation_bound_vanishes_where_the_integer_series_ends():
+    # Integer ell <= K: the series ends at k = ell whatever zeta is, so the
+    # bound is 0 also where no certificate exists (beta_bar <= max alpha/2,
+    # which once raised PreconditionError).  Elsewhere those still refuse.
+    _, _, rm = make_instance(n_obs=20)
+    top = float(np.max(rm.alpha_bar))
+    for scale in (1.0, 0.5, 0.4):
+        cfg = _cfg(rm, k_max=3, beta_bar=scale * top)
+        for ell in (1.0, 2.0, 3.0):
+            for K in range(int(ell), 6):
+                assert rvdist.truncation_bound(rm, cfg, ell, K) == 0.0
+        if scale < 1.0:
+            for ell, K in ((0.5, 3), (2.0, 1)):
+                with pytest.raises(PreconditionError):
+                    rvdist.truncation_bound(rm, cfg, ell, K)
+
+
 def _assert_dominated(rm, cfg, k_max=25):
     co = rvdist.coeffs(rm, ExpansionConfig(cfg.beta_bar, k_max))
     for k in range(k_max + 1):
@@ -481,7 +506,7 @@ def test_raw_moment_hp_matches_float(example_instance):
 
 
 def _coeffs_reference(rm, cfg, k_max, dps=150):
-    """c_0..c_{k_max} by the recurrence of ``_build``, with the power and
+    """c_0..c_{k_max} by the recurrence of ``rvdist.coeffs``, with the power and
     noncentral sums formed one mpmath product at a time at ``dps`` digits."""
     with mpm.workdps(dps):
         beta = mpm.mpf(cfg.beta_bar)

@@ -215,6 +215,21 @@ def test_default_quote_carries_error_bound(example_instance):
     assert qv.error_bound == 0.0
 
 
+@pytest.mark.parametrize("sigma", [2e-53, 1e-60, 1e-100])
+def test_var_swap_tv_finite_where_the_coefficients_overflow(sigma):
+    # Below sigma ~ 2e-53 the K=3 coefficients overflow; the ell = 1 series
+    # ends at k = 1 and no longer multiplies them by (-1)_k = 0 (it was nan
+    # with bound 0).  The overflow itself still warns.
+    for kappa in (0.5, 1.5, 5.0):
+        for n_obs in (52, 252, 1000):
+            _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+            with np.errstate(over="ignore"):
+                quote = swaps.var_swap_tv(rm)
+            assert math.isfinite(quote.strike)
+            assert quote.error_bound == 0.0
+            assert abs(quote.strike - rm.rv_mean()) <= 1e-12
+
+
 def test_zero_zeta_quote_bound_covers_closed_form():
     # equal weights make zeta = 0, but with drift the K=3 series is still
     # truncated: its certificate must cover the gap to the closed form
