@@ -255,8 +255,15 @@ def cmd_pdf(args) -> int:
 # bound-table
 # --------------------------------------------------------------------------
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of ``flag``: at least one, or DomainError."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise DomainError(f"{flag} takes comma-separated numbers, got {text!r}") from exc
+    if not values:
+        raise DomainError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _bound_rows(args, kappas, ks, sigmas, ell, independent_increments) -> list[list]:
@@ -272,9 +279,11 @@ def _bound_rows(args, kappas, ks, sigmas, ell, independent_increments) -> list[l
 
 
 def cmd_bound_table(args) -> int:
-    ks = [int(k) for k in _parse_floats(args.Ks)]
-    rows = _bound_rows(args, _parse_floats(args.kappas), ks, _parse_floats(args.sigmas),
-                       args.ell, not args.spectral)
+    kappas, ks = _parse_floats(args.kappas, "--kappas"), _parse_floats(args.Ks, "--Ks")
+    sigmas = _parse_floats(args.sigmas, "--sigmas")
+    if not all(k.is_integer() and k >= 0 for k in ks):
+        raise DomainError(f"--Ks takes integer orders >= 0, got {args.Ks!r}")
+    rows = _bound_rows(args, kappas, [int(k) for k in ks], sigmas, args.ell, not args.spectral)
     meta = {"command": "bound-table", "ell": args.ell, "kappas": args.kappas,
             "sigmas": args.sigmas, "Ks": args.Ks,
             "spectral": args.spectral} | _model_meta(args)

@@ -2,8 +2,11 @@
 
 Two regimes are supported:
 
-* time-varying per-interval volatility — strikes come from fractional
-  moments of the realized-variance Laguerre expansion (``*_tv``);
+* time-varying per-interval volatility (``*_tv``) — the volatility strike
+  is the realized-variance Laguerre expansion's E[RV^{1/2}]; the variance
+  strike is the first cumulant kappa_1 = sum(alpha_bar) + w mu_bar^T mu_bar,
+  w = 100^2/T, which is the series' complete sum from K = 1 (its terms
+  vanish past k = 1);
 * constant per-interval volatility — realized variance reduces to a single
   scaled noncentral chi-square, giving closed forms (``*_ncchi`` for any
   noncentrality lambda_bar >= 0, ``*_central`` and ``*_const_c`` its
@@ -55,7 +58,8 @@ class Method(str, Enum):
 @dataclass(frozen=True)
 class SwapQuote:
     """A fair strike with provenance: pricing method, series length and
-    (when certified) a rigorous truncation-error bound."""
+    (when certified) a rigorous truncation-error bound; an ``error_bound``
+    of 0 means the strike is exact to rounding."""
 
     strike: float
     method: Method
@@ -63,11 +67,16 @@ class SwapQuote:
     error_bound: Optional[float] = None
 
 
-def _tv_quote(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig], ell: float) -> SwapQuote:
+def _tv_config(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig]) -> rvdist.ExpansionConfig:
+    """``cfg``, or the default envelope, refused unless beta_bar > max(alpha_bar)/2."""
     if cfg is None:
         cfg = rvdist.ExpansionConfig.defaults(rm)
     if not cfg.beta_bar > 0.5 * rm._alpha_range[1]:
         raise InvalidConfig("requires beta_bar > max(alpha_bar)/2")
+    return cfg
+
+
+def _series_quote(rm: ReturnMoments, cfg: rvdist.ExpansionConfig, ell: float) -> SwapQuote:
     co = rvdist.coeffs(rm, cfg)
     mom = rvdist.raw_moment(rm, cfg, co, ell)
     # beta_bar > max(alpha_bar)/2 and coeffs' alpha_bar_i > 0 certify zeta < 1.
@@ -81,12 +90,19 @@ def _tv_quote(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig], ell: flo
 
 def vol_swap_tv(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None) -> SwapQuote:
     """Volatility-swap fair strike E[sqrt(RV)] via the Laguerre moment series."""
-    return _tv_quote(rm, cfg, 0.5)
+    return _series_quote(rm, _tv_config(rm, cfg), 0.5)
 
 
 def var_swap_tv(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None) -> SwapQuote:
-    """Variance-swap fair strike E[RV] via the Laguerre moment series."""
-    return _tv_quote(rm, cfg, 1.0)
+    """Variance-swap fair strike E[RV] = kappa_1 = sum(alpha_bar) + w mu_bar^T mu_bar,
+    w = 100^2/T (``ReturnMoments.rv_mean``): the Laguerre series' complete sum
+    from K = 1, so the quote keeps the series' K + 1 terms and refusals, with
+    ``error_bound`` 0.  At K = 0 it is the one-term series and its bound."""
+    cfg = _tv_config(rm, cfg)
+    if cfg.k_max == 0:
+        return _series_quote(rm, cfg, 1.0)
+    rvdist._check_weights(rm)
+    return SwapQuote(rm.rv_mean(), Method.LAGUERRE_SERIES, cfg.k_max + 1, error_bound=0.0)
 
 
 def vol_swap_const_c(c: float, nu: float, T: float) -> SwapQuote:

@@ -406,6 +406,33 @@ def test_bound_table_takes_sigma_and_kappa_from_its_grid(capsys):
     assert run_cli(capsys, *grid, "--sigma", "0.2", "--kappa", "2")[1] == out
 
 
+@pytest.mark.parametrize("flags, message", [
+    # int() once truncated these to K = 2 and K = 0, and an empty list
+    # printed an empty table, each with exit 0
+    (("--Ks", "2.7"), "--Ks takes integer orders >= 0, got '2.7'"),
+    (("--Ks", "1,-1"), "--Ks takes integer orders >= 0, got '1,-1'"),
+    (("--Ks", "nan"), "--Ks takes integer orders >= 0, got 'nan'"),
+    (("--kappas", ""), "--kappas needs at least one value, got ''"),
+    (("--Ks", " , "), "--Ks needs at least one value, got ' , '"),
+    (("--sigmas", ""), "--sigmas needs at least one value, got ''"),
+    (("--sigmas", "0.05,x"), "--sigmas takes comma-separated numbers, got '0.05,x'"),
+], ids=["K-fraction", "K-negative", "K-nan", "kappas-empty", "Ks-blank", "sigmas-empty",
+        "sigmas-malformed"])
+def test_bound_table_refuses_a_bad_grid_exit_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, "bound-table", "--N", "52", "--kappas", "0.5",
+                             "--sigmas", "0.05", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_price_var_swap_one_term_keeps_its_series_and_bound(capsys):
+    # At K = 0 the E[RV] series stops before its k = 1 term: the quote is
+    # that one term and its truncation bound, not the first cumulant.
+    code, out, _ = run_cli(capsys, "price", "--contract", "var-swap", "--sigma", "0.08",
+                           "--kappa", "1.5", "--N", "52", "--terms", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "var-swap,laguerre_series,63.995373657338781,1,127.05491400903951"
+
+
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
@@ -448,7 +475,7 @@ def test_config_file_equals_spelling(capsys, tmp_path):
     code3, out_default, _ = run_cli(capsys, "price", "--contract", "var-swap")
     assert code == 0 and code2 == 0 and code3 == 0
     assert out_equals == out_space
-    assert "64.038394178966755" in out_equals
+    assert "64.038394178965859" in out_equals
     assert out_equals != out_default
 
 

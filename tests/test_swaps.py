@@ -198,9 +198,12 @@ def test_vega_requires_constant_regime():
 
 def test_tv_requires_beta_above_half_max_alpha(example_instance):
     _, _, rm = example_instance
-    cfg = rvdist.ExpansionConfig(beta_bar=0.25 * float(np.max(rm.alpha_bar)), k_max=3)
-    with pytest.raises(InvalidConfig):
-        swaps.var_swap_tv(rm, cfg)
+    for beta_scale in (0.25, 0.5):
+        for k_max in (0, 1, 3):
+            cfg = rvdist.ExpansionConfig(beta_scale * float(np.max(rm.alpha_bar)), k_max)
+            for quote in (swaps.var_swap_tv, swaps.vol_swap_tv):
+                with pytest.raises(InvalidConfig, match=r"beta_bar > max\(alpha_bar\)/2"):
+                    quote(rm, cfg)
 
 
 def test_default_quote_carries_error_bound(example_instance):
@@ -217,17 +220,85 @@ def test_default_quote_carries_error_bound(example_instance):
 
 @pytest.mark.parametrize("sigma", [2e-53, 1e-60, 1e-100])
 def test_var_swap_tv_finite_where_the_coefficients_overflow(sigma):
-    # Below sigma ~ 2e-53 the K=3 coefficients overflow; the ell = 1 series
-    # ends at k = 1 and no longer multiplies them by (-1)_k = 0 (it was nan
-    # with bound 0).  The overflow itself still warns.
+    # Below sigma ~ 2e-53 the K=3 coefficients overflow (the series once
+    # multiplied them by (-1)_k = 0 and quoted nan with bound 0).  The
+    # variance strike forms none of them, so nothing overflows.
     for kappa in (0.5, 1.5, 5.0):
         for n_obs in (52, 252, 1000):
             _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
-            with np.errstate(over="ignore"):
-                quote = swaps.var_swap_tv(rm)
+            quote = swaps.var_swap_tv(rm)
             assert math.isfinite(quote.strike)
             assert quote.error_bound == 0.0
             assert abs(quote.strike - rm.rv_mean()) <= 1e-12
+
+
+def _mp_rv_mean(sigma, kappa, n_obs, s0=2.0, mu=0.6, horizon=1.0):
+    """E[RV] at 50 digits from the per-interval moments of the log returns
+    r_i = x(tau_i + dt) - x(tau_i), tau_i = i dt, with x(0) = ln s0: with
+    phi = e^{-kappa dt}, one-step variance q and Var x(t) = V(t),
+    E[r_i^2] = q + (1 - phi)^2 V(tau_i) + mean_i^2, and
+    mean_i = (1 - phi)(x0 - alpha) e^{-kappa tau_i}.  No spectral code."""
+    with mpm.workdps(50):
+        sigma, kappa, horizon = mpm.mpf(sigma), mpm.mpf(kappa), mpm.mpf(horizon)
+        dt = horizon / (n_obs - 1)
+        one_m_phi = -mpm.expm1(-kappa * dt)
+        stationary = sigma**2 / (2 * kappa)
+        q = stationary * -mpm.expm1(-2 * kappa * dt)
+        gap = mpm.log(mpm.mpf(s0)) - (mpm.mpf(mu) - stationary)
+        total, decay = mpm.mpf(0), mpm.mpf(1)  # decay = e^{-kappa tau_i}
+        for _ in range(n_obs - 1):
+            var_x = stationary * (1 - decay**2)
+            total += q + one_m_phi**2 * var_x + (one_m_phi * gap * decay) ** 2
+            decay *= 1 - one_m_phi
+        return 100**2 / horizon * total
+
+
+def test_var_strike_within_rounding_of_fifty_digits():
+    # The series' front factor is a difference of lgammas, 2e-12 off at
+    # N = 5000; the first cumulant is exact to rounding.
+    for sigma in (0.005, 0.02, 0.08, 0.2):
+        for kappa in (0.1, 1.5, 5.0):
+            for n_obs in (3, 13, 52, 252, 1000, 5000):
+                _, _, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs)
+                ref = _mp_rv_mean(sigma, kappa, n_obs)
+                assert abs(swaps.var_swap_tv(rm).strike - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("sigma", [1e-148, 1e-150, 1e-152])
+def test_var_strike_exact_where_the_noncentralities_lose_bits(sigma):
+    # The spectral delta_bar lose bits through a subnormal product here
+    # (their sum was 2e-4 off at 1e-152); mu_bar^T mu_bar does not.
+    _, _, rm = make_instance(sigma=sigma, kappa=0.5, n_obs=1000)
+    ref = _mp_rv_mean(sigma, 0.5, 1000)
+    assert abs(swaps.var_swap_tv(rm).strike - ref) <= 1e-15 * ref
+
+
+def test_var_strike_sums_no_series_from_one_term_on(monkeypatch, example_instance):
+    _, _, rm = example_instance
+    expected = swaps.var_swap_tv(rm)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the variance strike summed the Laguerre series")
+
+    for name in ("coeffs", "raw_moment", "truncation_bound"):
+        monkeypatch.setattr(rvdist, name, refuse)
+    for k_max in (1, 3, 30):
+        cfg = rvdist.ExpansionConfig.defaults(rm, k_max=k_max)
+        quote = swaps.var_swap_tv(rm, cfg)
+        assert (quote.strike, quote.method, quote.terms_used, quote.error_bound) == (
+            rm.rv_mean(), swaps.Method.LAGUERRE_SERIES, k_max + 1, 0.0)
+    assert swaps.var_swap_tv(rm) == expected
+    with pytest.raises(AssertionError):
+        swaps.var_swap_tv(rm, rvdist.ExpansionConfig.defaults(rm, k_max=0))
+
+
+def test_tv_refuses_a_zero_weight_at_every_order():
+    rm = iid_return_moments([0.0, 0.01, 0.02], [0.0, 0.03, 0.05], 1.0)
+    for k_max in (0, 1, 3):
+        cfg = rvdist.ExpansionConfig.defaults(rm, k_max=k_max)
+        for quote in (swaps.var_swap_tv, swaps.vol_swap_tv):
+            with pytest.raises(InvalidConfig, match="all alpha_bar_i must be > 0"):
+                quote(rm, cfg)
 
 
 def test_zero_zeta_quote_bound_covers_closed_form():
