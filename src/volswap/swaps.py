@@ -5,8 +5,8 @@ Two regimes are supported:
 * time-varying per-interval volatility (``*_tv``) — the volatility strike
   is the realized-variance Laguerre expansion's E[RV^{1/2}]; the variance
   strike is the first cumulant kappa_1 = sum(alpha_bar) + w mu_bar^T mu_bar,
-  w = 100^2/T, which is the series' complete sum from K = 1 (its terms
-  vanish past k = 1);
+  w = 100^2/T, which is the series' complete sum (its terms vanish past
+  k = 1);
 * constant per-interval volatility — realized variance reduces to a single
   scaled noncentral chi-square, giving closed forms (``*_ncchi`` for any
   noncentrality lambda_bar >= 0, ``*_central`` and ``*_const_c`` its
@@ -76,31 +76,26 @@ def _tv_config(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig]) -> rvdi
     return cfg
 
 
-def _series_quote(rm: ReturnMoments, cfg: rvdist.ExpansionConfig, ell: float) -> SwapQuote:
+def vol_swap_tv(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None) -> SwapQuote:
+    """Volatility-swap fair strike E[sqrt(RV)] via the Laguerre moment series."""
+    cfg = _tv_config(rm, cfg)
     co = rvdist.coeffs(rm, cfg)
-    mom = rvdist.raw_moment(rm, cfg, co, ell)
+    mom = rvdist.raw_moment(rm, cfg, co, 0.5)
     # beta_bar > max(alpha_bar)/2 and coeffs' alpha_bar_i > 0 certify zeta < 1.
     return SwapQuote(
         strike=mom.value,
         method=Method.LAGUERRE_SERIES,
         terms_used=mom.terms_used,
-        error_bound=rvdist.truncation_bound(rm, cfg, ell, cfg.k_max),
+        error_bound=rvdist.truncation_bound(rm, cfg, 0.5, cfg.k_max),
     )
-
-
-def vol_swap_tv(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None) -> SwapQuote:
-    """Volatility-swap fair strike E[sqrt(RV)] via the Laguerre moment series."""
-    return _series_quote(rm, _tv_config(rm, cfg), 0.5)
 
 
 def var_swap_tv(rm: ReturnMoments, cfg: Optional[rvdist.ExpansionConfig] = None) -> SwapQuote:
     """Variance-swap fair strike E[RV] = kappa_1 = sum(alpha_bar) + w mu_bar^T mu_bar,
-    w = 100^2/T (``ReturnMoments.rv_mean``): the Laguerre series' complete sum
-    from K = 1, so the quote keeps the series' K + 1 terms and refusals, with
-    ``error_bound`` 0.  At K = 0 it is the one-term series and its bound."""
+    w = 100^2/T (``ReturnMoments.rv_mean``): the Laguerre series' complete sum,
+    so the quote keeps the series' K + 1 terms and refusals, with
+    ``error_bound`` 0."""
     cfg = _tv_config(rm, cfg)
-    if cfg.k_max == 0:
-        return _series_quote(rm, cfg, 1.0)
     rvdist._check_weights(rm)
     return SwapQuote(rm.rv_mean(), Method.LAGUERRE_SERIES, cfg.k_max + 1, error_bound=0.0)
 

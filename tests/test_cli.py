@@ -424,15 +424,6 @@ def test_bound_table_refuses_a_bad_grid_exit_2(capsys, flags, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_price_var_swap_one_term_keeps_its_series_and_bound(capsys):
-    # At K = 0 the E[RV] series stops before its k = 1 term: the quote is
-    # that one term and its truncation bound, not the first cumulant.
-    code, out, _ = run_cli(capsys, "price", "--contract", "var-swap", "--sigma", "0.08",
-                           "--kappa", "1.5", "--N", "52", "--terms", "0")
-    assert code == 0
-    assert out.splitlines()[-1] == "var-swap,laguerre_series,63.995373657338781,1,127.05491400903951"
-
-
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
