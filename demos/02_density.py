@@ -45,7 +45,7 @@ print(f"\nintegral of the N=52 density: {area:.9f}  (should be 1)")
 # --- agreement with a Monte Carlo histogram ---------------------------------
 schedule = Schedule(t1=0.0, horizon=1.0, n_obs=52)
 samples = mc.simulate_rv(params, schedule, mc.McConfig(n_paths=100_000, seed=11))
-dens_mc, edges = mc.histogram(samples, 25)
+dens_mc, edges = np.histogram(samples, bins=25, density=True)
 centers = 0.5 * (edges[:-1] + edges[1:])
 dens_series = np.asarray(rvdist.pdf(rm, cfg, co, centers))
 

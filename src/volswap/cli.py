@@ -98,8 +98,8 @@ def _model_args(p: argparse.ArgumentParser, grid: bool = False) -> None:
     p.add_argument("--N", type=int, default=d["n_obs"], dest="n_obs")
     p.add_argument("--T", type=float, default=d["horizon"], dest="horizon")
     p.add_argument("--t1", type=float, default=d["t1"],
-                   help="first observation time; returns are measured from it, "
-                        "so no quote depends on it")
+                   help="first observation time; the log price is known there and "
+                        "returns are measured from it, so it moves no number")
 
 
 def _common_args(p: argparse.ArgumentParser) -> None:
@@ -341,7 +341,7 @@ def _reproduce_fig2(args, write) -> None:
             cfg = rvdist.ExpansionConfig.defaults(rm, k_max=rvdist.DEFAULT_K_PDF)
             co = rvdist.coeffs(rm, cfg)
             samples = mc.simulate_rv(params, schedule, mc.McConfig(args.paths, args.seed))
-            dens, edges = mc.histogram(samples, 100)
+            dens, edges = np.histogram(samples, bins=100, density=True)
             centers = 0.5 * (edges[:-1] + edges[1:])
             pdf_vals = rvdist.pdf(rm, cfg, co, centers)
             rows = [[float(c), float(d), float(p)] for c, d, p in zip(centers, dens, pdf_vals)]

@@ -30,7 +30,6 @@ __all__ = [
     "simulate_rv",
     "estimate_swap",
     "estimate_call",
-    "histogram",
 ]
 
 
@@ -128,13 +127,3 @@ def estimate_call(
 ) -> McEstimate:
     """Discounted mean and standard error of the payoff (RV^rho - K)^+."""
     return _estimate(discount * np.maximum(np.asarray(samples, dtype=float) ** rho - strike, 0.0))
-
-
-def histogram(
-    samples: np.ndarray, n_bins: int, value_range: tuple[float, float] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Density-normalized histogram (area 1): (densities, bin_edges)."""
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-    dens, edges = np.histogram(samples, bins=n_bins, range=value_range, density=True)
-    return dens, edges

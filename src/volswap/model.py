@@ -109,7 +109,9 @@ class Schedule:
 
     ``horizon`` is the length T of the window, so the last observation falls
     at ``t1 + horizon`` and ``dt = horizon/(n_obs-1)``.  Both ``t1`` and
-    ``horizon`` must be finite.
+    ``horizon`` must be finite.  The log price is known at t1 and every law
+    depends only on ``dt`` and ``n_obs``, so ``t1`` is recorded but moves no
+    number.
     """
 
     t1: float
@@ -129,10 +131,6 @@ class Schedule:
     @property
     def dt(self) -> float:
         return self.horizon / (self.n_obs - 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t1 + self.dt * np.arange(self.n_obs)
 
 
 @dataclass(frozen=True)
@@ -404,12 +402,12 @@ def return_moments(
     the cross-covariances are dropped and the weights are the per-interval
     variances; the resulting distribution has the exact mean but is wider
     than the true one (noticeably so for large kappa*T/N).
+
+    Only the times t_i - t1 enter, so ``schedule.t1`` moves no number.
     """
     kappa = params.kappa
     dt = schedule.dt
-    # Start times t_{i-1} of the returns, measured from t1, where the log
-    # price is known.
-    tau = schedule.times[:-1] - schedule.t1
+    tau = dt * np.arange(schedule.n_obs - 1)  # start times t_{i-1} - t1 of the returns
     om = -math.expm1(-kappa * dt)  # 1 - phi
     mu_bar = (params.alpha - params.x0) * om * np.exp(-kappa * tau)
     s2 = params.sigma**2 / (2.0 * kappa)

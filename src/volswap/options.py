@@ -97,11 +97,13 @@ class OptionSpec:
             raise InvalidConfig(f"discount must be in (0, 1], got {self.discount}")
         if self.k_terms < 1:
             raise InvalidConfig(f"k_terms must be >= 1, got {self.k_terms}")
-        for j in range(self.k_terms + 1):
-            if self.tau(j) in (0.0, 1.0):
-                raise DegenerateExponent(
-                    f"tau_j = {self.tau(j)} at j={j} hits a forbidden value (0 or 1)"
-                )
+        # The (a, b) condition keeps fl(a - b) >= -1, so tau_0 >= 1 and
+        # tau_j >= 2 for every j >= 1: only tau_0 can land on a forbidden
+        # value, by rounding onto 1.
+        if self.tau(0) == 1.0:
+            raise DegenerateExponent(
+                f"tau_0 = a - b + 2 rounds to the forbidden value 1 at a={self.a}, b={self.b}"
+            )
 
     def tau(self, j: int) -> float:
         """Order of the j-th moment of Y = RV^rho: tau_j = a - b + j + 2.

@@ -2,32 +2,25 @@
 Y_i ~ noncentral chi-square(1, delta_bar_i).
 
 The paper expands the density in generalized Laguerre polynomials around a
-Gamma(p, 2*beta_bar) envelope, p = nu/2, with a free shape center mu0:
+Gamma(p, 2*beta_bar) envelope, p = nu/2.  The library takes the shape center
+mu0 = nu/2 = p, where the expansion reads
 
-    f(y) = g(y) sum_k k!/(p)_k c_k L_k^{(p-1)}(p y / (2 beta_bar mu0)),
+    f(y) = g(y) sum_k k!/(p)_k c_k L_k^{(p-1)}(y / (2 beta_bar)),
 
-where g is the envelope density and (p)_k = Gamma(p+k)/Gamma(p).  With
-r_i = alpha_bar_i/beta_bar, h_i = 1 + r_i (p/mu0 - 1), xi_i = (1 - r_i)/h_i
-and w_i = delta_bar_i alpha_bar_i / (beta_bar mu0 h_i), the coefficients are
-those of the generating function
+with g the envelope density and (p)_k = Gamma(p+k)/Gamma(p).  With
+xi_i = 1 - alpha_bar_i/beta_bar, the coefficients are those of the
+generating function
 
     G(z) = sum_k c_k z^k
-         = c_0 prod_i (1 - xi_i z)^{-1/2}
-           exp(-(1/2) sum_i w_i z ((p - mu0) xi_i + mu0) / (1 - xi_i z)),
+         = prod_i (1 - xi_i z)^{-1/2}
+           exp(-(z / (2 beta_bar)) sum_i delta_bar_i alpha_bar_i / (1 - xi_i z)),
 
-    ln c_0 = p ln(p/mu0) - (1/2) sum_i ln h_i
-             - (p - mu0)/(2 beta_bar mu0) sum_i delta_bar_i alpha_bar_i / h_i,
-
-and a raw moment of any order ell > 0 is the series
-E[RV^ell] = (2 beta_bar)^ell Gamma(p+ell)/Gamma(p) sum_k c_k
-2F1(-k, p+ell; p; p/mu0).
-
-The library evaluates the expansion at mu0 = nu/2 only, where h_i = 1,
-c_0 = 1, xi_i = 1 - alpha_bar_i/beta_bar, the noncentral sums reduce to
-U_m = sum_i delta_bar_i alpha_bar_i xi_i^m, and the hypergeometric factor
-collapses to (-ell)_k/(p)_k (Chu-Vandermonde).  The coefficients then satisfy a linear
-recurrence driven by power sums of xi, and a rigorous tail bound is
-available when the contraction factor zeta = max |xi_i| < 1.
+so c_0 = 1, and a raw moment of any order ell > 0 is the series
+E[RV^ell] = (2 beta_bar)^ell Gamma(p+ell)/Gamma(p) sum_k c_k (-ell)_k/(p)_k.
+The coefficients satisfy a linear recurrence driven by the power sums of xi
+and the noncentral sums U_m = sum_i delta_bar_i alpha_bar_i xi_i^m, and a
+rigorous tail bound is available when the contraction factor
+zeta = max |xi_i| < 1.
 
 The coefficient recurrence runs in double precision in :func:`coeffs`, and
 for the option pricer in :func:`coeffs_hp`: a resumable integer kernel of

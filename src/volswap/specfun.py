@@ -27,9 +27,6 @@ class SeriesResult:
     last_term: float
     converged: bool
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def laguerre_polys(a, x):
     """Generalized Laguerre polynomials L_0^{(a)}(x), L_1^{(a)}(x), ... without

@@ -162,7 +162,7 @@ def test_criterion_4_pdf_normalization_and_histogram(n_obs, sigma):
 
     n_paths = 100_000
     samples = mc.simulate_rv(params, schedule, mc.McConfig(n_paths=n_paths, seed=404))
-    dens, edges = mc.histogram(samples, 100)
+    dens, edges = np.histogram(samples, bins=100, density=True)
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     pdf_vals = np.asarray(rvdist.pdf(rm, cfg, co, centers), dtype=float)

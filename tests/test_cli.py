@@ -134,6 +134,17 @@ def test_negative_seed_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert err == "error: seed must be >= 0, got " + argv[-1] + "\n"
 
 
+def test_price_call_degenerate_exponent_exit_2(capsys):
+    # a = -1 + 2^-53 passes the expansion's (a, b) condition, but tau_0 = a + 2
+    # rounds onto the forbidden 1
+    code, out, err = run_cli(capsys, "price", "--contract", "var-call", "--strike", "64",
+                             "--a", "-0.9999999999999999")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: tau_0 = a - b + 2 rounds to the forbidden value 1 "
+                   "at a=-0.9999999999999999, b=0.0\n")
+
+
 def test_price_validate_mc_with_closed_form_exit_2(capsys):
     # once printed the closed form's 204 beside the default model's mc_mean 24.9
     code, out, err = run_cli(
@@ -427,6 +438,14 @@ def test_bound_table_refuses_a_bad_grid_exit_2(capsys, flags, message):
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
+
+
+def test_config_file_missing_exit_2(capsys, tmp_path):
+    missing = tmp_path / "absent.cfg"
+    code, out, err = run_cli(capsys, "price", "--contract", "var-swap", "--config", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read config file {missing}: ")
 
 
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):

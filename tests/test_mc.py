@@ -91,19 +91,6 @@ def test_estimate_call_limits():
     assert disc.mean == pytest.approx(0.5 * np.mean(np.maximum(samples - 2.0, 0.0)))
 
 
-def test_histogram_density_normalization():
-    rng = np.random.default_rng(0)
-    samples = rng.gamma(3.0, 2.0, size=10_000)
-    dens, edges = mc.histogram(samples, 40)
-    area = float(np.sum(dens * np.diff(edges)))
-    assert area == pytest.approx(1.0, abs=1e-12)
-
-    dens1, edges1 = mc.histogram(samples, 1)
-    assert dens1[0] == pytest.approx(1.0 / (edges1[1] - edges1[0]), rel=1e-12)
-    with pytest.raises(DomainError):
-        mc.histogram(samples, 0)
-
-
 def test_stream_partition_statistically_consistent():
     params, schedule = _setup()
     one = mc.simulate_rv(params, schedule, mc.McConfig(n_paths=40_000, seed=8, n_streams=1))

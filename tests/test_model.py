@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from volswap import model
 from volswap.errors import DegenerateInterval, DomainError
 from volswap.model import (
+    ReturnMoments,
     Schedule,
     SchwartzParams,
     iid_return_moments,
@@ -85,11 +88,12 @@ def test_schedule_rejects_non_finite(field, value):
 
 def test_schedule_grid():
     sch = Schedule(t1=0.25, horizon=2.0, n_obs=9)
-    t = sch.times
-    assert t[0] == 0.25
-    assert abs(t[-1] - 2.25) < 1e-14
-    assert np.all(np.diff(t) > 0)
-    assert abs(sch.dt * (sch.n_obs - 1) - sch.horizon) < 1e-12 * sch.horizon
+    assert sch.t1 == 0.25
+    assert sch.dt == 0.25
+    tau = sch.dt * np.arange(sch.n_obs)
+    assert tau[0] == 0.0
+    assert abs(tau[-1] - sch.horizon) < 1e-14
+    assert np.all(np.diff(tau) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,7 @@ def test_var_bar_nonnegative_and_nondecreasing():
 
 def test_mu_bar_two_route_agreement():
     p, sch, rm = make_instance(n_obs=52)
-    means = np.array([ou_mean(p, p.x0, t - sch.t1) for t in sch.times])
+    means = np.array([ou_mean(p, p.x0, t) for t in sch.dt * np.arange(sch.n_obs)])
     direct = np.diff(means)
     denom = np.maximum(np.abs(direct), 1e-300)
     assert np.max(np.abs(rm.mu_bar - direct) / denom) < 1e-10
@@ -182,6 +186,21 @@ def test_mu_bar_matches_mpmath(sigma, kappa, n_obs, horizon, t1):
     np.testing.assert_allclose(rm.var_bar, var_ref, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("independent", [False, True])
+@pytest.mark.parametrize("t1", [0.3, 12.345, 1e3, 7.77e5])
+def test_return_moments_do_not_depend_on_t1(t1, independent):
+    # The log price is known at t1 and the returns see only t_i - t1, so
+    # every field is bit-identical to the one at t1 = 0.
+    for sigma, kappa, n_obs in itertools.product(
+            (0.005, 0.08, 0.2), (0.1, 1.5, 5.0), (2, 3, 13, 52, 252, 1000, 5000)):
+        rms = [make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs, t1=start,
+                             independent_increments=independent)[2]
+               for start in (0.0, t1)]
+        for f in dataclasses.fields(ReturnMoments):
+            ref, got = (np.asarray(getattr(rm, f.name)) for rm in rms)
+            assert got.tobytes() == ref.tobytes(), (sigma, kappa, n_obs, f.name)
+
+
 def test_lambda_zero_when_started_at_level():
     p = SchwartzParams(s0=math.exp(0.6 - 0.1**2 / (2 * 0.5)), mu=0.6, sigma=0.1, kappa=0.5)
     sch = Schedule(t1=0.0, horizon=1.0, n_obs=10)
@@ -204,7 +223,7 @@ def test_nu_eta_and_sigma_n():
 
 def _dense_cov(p, sch):
     """Dense covariance matrix of the log returns (natural variance units)."""
-    tau = sch.times - sch.t1
+    tau = sch.dt * np.arange(sch.n_obs)
     var = np.array([ou_variance(p, t) for t in tau])
     cov_x = np.minimum.outer(var, var) * np.exp(
         -p.kappa * np.abs(np.subtract.outer(tau, tau))
@@ -213,7 +232,7 @@ def _dense_cov(p, sch):
 
 
 def _dense_oracle(p, sch):
-    tau = sch.times - sch.t1
+    tau = sch.dt * np.arange(sch.n_obs)
     lam, q_mat = np.linalg.eigh(_dense_cov(p, sch))
     lam = np.maximum(lam[::-1], 0.0)
     proj = q_mat[:, ::-1].T @ np.diff(

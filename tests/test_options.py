@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import constant_instance, make_instance
 from volswap import mc, options, rvdist, swaps
-from volswap.errors import DomainError, InvalidConfig, NoConvergence
+from volswap.errors import DegenerateExponent, DomainError, InvalidConfig, NoConvergence
 from volswap.model import SchwartzParams, Schedule, return_moments
 from volswap.options import (
     LaguerreMoments,
@@ -69,6 +70,9 @@ def test_spec_validation():
         OptionSpec(rho=1.0, strike=1.0, discount=1.5)
     with pytest.raises(InvalidConfig):
         OptionSpec(rho=1.0, strike=1.0, k_terms=0)
+    # a - b = -1 + 2^-53 passes the (a, b) condition, but a - b + 2 rounds to 1
+    with pytest.raises(DegenerateExponent, match="rounds to the forbidden value 1"):
+        OptionSpec(rho=1.0, strike=1.0, a=math.nextafter(-1.0, 0.0), b=0.0)
     spec = OptionSpec(rho=0.5, strike=2.0, a=1.0, b=0.5)
     assert spec.tau(0) == 2.5
     assert spec.rho_tau(3) == pytest.approx(2.75)
@@ -560,6 +564,39 @@ def test_smile_work_counts(monkeypatch):
     assert sorted(powers) == list(range(1, k_max + 1))
     assert h_calls == [41, 41]
     assert len(sums) == len(set(sums)) == len(lm._hp_cache)
+
+
+def test_moment_hp_refuses_at_the_coefficient_cap(monkeypatch):
+    monkeypatch.setattr(options, "_HP_K_CAP", 20)
+    _, _, rm = make_instance(sigma=0.08, kappa=1.5, n_obs=252)
+    with pytest.raises(NoConvergence, match="did not stagnate within 20 coefficients"):
+        LaguerreMoments(rm).moment_hp(0.5, 60)
+
+
+class _SlottedMoments:
+    """A provider without a weak reference, so the pricer cannot keep its series."""
+
+    __slots__ = ("_lm",)
+
+    def __init__(self, rm):
+        self._lm = LaguerreMoments(rm)
+
+    def moment_hp(self, ell, dps):
+        return self._lm.moment_hp(ell, dps)
+
+    def dmoment_dsigma_hp(self, ell, dps):
+        return self._lm.dmoment_dsigma_hp(ell, dps)
+
+
+def test_unreferable_provider_prices_like_a_plain_one():
+    _, _, rm = make_instance(sigma=0.08, kappa=1.5, n_obs=52)
+    slotted = _SlottedMoments(rm)
+    with pytest.raises(TypeError):
+        weakref.ref(slotted)
+    spec = OptionSpec(rho=1.0, strike=64.0)
+    for _ in range(2):  # no series is kept, so the second call rebuilds it
+        assert call_price(spec, slotted).value == 5.020198037475088
+    assert call_price(spec, LaguerreMoments(rm)).value == 5.020198037475088
 
 
 def test_ncchi_moments_is_frozen():

@@ -239,6 +239,9 @@ def test_raw_moment_domain(example_instance):
     co = rvdist.coeffs(rm, cfg)
     with pytest.raises(DomainError):
         rvdist.raw_moment(rm, cfg, co, 0.0)
+    for ell in (0.0, -0.5):
+        with pytest.raises(DomainError, match="raw_moment_hp requires ell > 0"):
+            rvdist.raw_moment_hp(rm, cfg, [], ell, dps=40)
 
 
 @settings(max_examples=30, deadline=None)

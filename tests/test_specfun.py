@@ -6,7 +6,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from volswap import rvdist
-from volswap.specfun import SeriesResult, laguerre_polys
+from volswap.specfun import laguerre_polys
 
 from conftest import constant_instance
 
@@ -60,8 +60,3 @@ def test_laguerre_polys_vs_scipy_grid():
                 ref = float(eval_genlaguerre(n, a, x))
                 assert abs(ours - ref) < 1e-10 * max(1.0, abs(ref))
                 assert on_grid[n][i] == ours
-
-
-def test_series_result_float():
-    r = SeriesResult(value=2.5, terms_used=3, last_term=1e-12, converged=True)
-    assert float(r) == 2.5
