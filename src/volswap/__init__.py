@@ -23,8 +23,6 @@ from .model import (
     ReturnMoments,
     Schedule,
     SchwartzParams,
-    ou_covariance,
-    ou_mean,
     ou_variance,
     return_moments,
     iid_return_moments,
@@ -50,9 +48,7 @@ __all__ = [
     "SchwartzParams",
     "Schedule",
     "ReturnMoments",
-    "ou_mean",
     "ou_variance",
-    "ou_covariance",
     "return_moments",
     "iid_return_moments",
     "SeriesResult",

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ _INVALID = (DomainError, InvalidConfig, DegenerateInterval, DegenerateExponent)
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _meta_block(params: dict) -> list[str]:
@@ -64,17 +65,15 @@ def _write_csv(out, params: dict, header: list[str], rows: list[list]) -> None:
     out.write("\n".join(lines) + "\n")
 
 
-def _write_json(out, params: dict, header: list[str], rows: list[list]) -> None:
-    payload = {
-        "params": {k: v for k, v in sorted(params.items())},
-        "columns": header,
-        "rows": rows,
-    }
+def _write_json(out, params: dict, header: list[str], rows: list[list], flat=False) -> None:
+    """``params`` beside the columns and rows, or (``flat``) the one row's cells."""
+    body = dict(zip(header, rows[0])) if flat else {"columns": header, "rows": rows}
+    payload = {"params": params} | body
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(args, params: dict, header: list[str], rows: list[list]) -> None:
-    writer = _write_json if args.format == "json" else _write_csv
+def _emit(args, params: dict, header: list[str], rows: list[list], flat=False) -> None:
+    writer = partial(_write_json, flat=flat) if args.format == "json" else _write_csv
     if args.out:
         with open(args.out, "w") as fh:
             writer(fh, params, header, rows)
@@ -166,9 +165,8 @@ def cmd_price(args) -> int:
     else:
         price = _price_call(args, rho, rm)
         method, value, terms, bound = args.method, price.value, price.terms_used, None
-    record = dict(contract=contract, method=method, value=value, terms=terms, bound=bound)
     header = ["contract", "method", "value", "terms", "bound"]
-    row = [record[h] if record[h] is not None else "" for h in header]
+    row = [contract, method, value, terms, bound]
     if args.validate_mc:
         cfg = mc.McConfig(n_paths=args.validate_mc, seed=args.seed, n_streams=args.streams)
         samples = mc.simulate_rv(params, schedule, cfg)
@@ -177,17 +175,9 @@ def cmd_price(args) -> int:
         else:
             est = mc.estimate_call(samples, rho, args.strike, args.discount)
         meta.update(seed=args.seed, n_paths=args.validate_mc, n_streams=args.streams)
-        record.update(mc_mean=est.mean, mc_se=est.std_error)
         header = header + ["mc_mean", "mc_se"]
         row = row + [est.mean, est.std_error]
-    if args.format == "json":
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    _emit(args, meta, header, [row])
+    _emit(args, meta, header, [row], flat=True)
     return 0
 
 
@@ -234,6 +224,8 @@ def cmd_pdf(args) -> int:
     y_max = args.y_max if args.y_max is not None else 3.0 * mean
     if not 0 < y_min < y_max:
         raise DomainError("need 0 < y-min < y-max")
+    if y_max == math.inf:
+        raise DomainError("--y-max must be finite")
     grid = np.linspace(y_min, y_max, args.points)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         dens = rvdist.pdf(rm, cfg, co, grid)

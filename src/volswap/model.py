@@ -21,11 +21,12 @@ diagonal scaling it is Toeplitz except in its last row and column.  Its
 eigenvectors are sinusoids and its eigenvalues solve a secular equation with
 exactly one root in each of n known brackets (Kulkarni, Schmidt & Tsui,
 Linear Algebra Appl. 297, 1999; Yueh, Appl. Math. E-Notes 5, 2005), so the
-chi-square weights and the noncentralities cost O(1) each, O(n) in total,
-and the noncentral sums of the series coefficients
-(``ReturnMoments.mean_forms``) are read from them.  One Newton sweep finds
-the roots; a rule on the local curvature sends the few it leaves short of
-an ulp through further steps of their own (``_spectral_parts``).
+chi-square weights and the noncentral weights alpha_bar_i delta_bar_i (from
+which delta_bar is derived) cost O(1) each, O(n) in total, and the noncentral
+sums of the series coefficients (``ReturnMoments.mean_forms``) read them.
+One Newton sweep finds the roots; a rule on the local curvature sends the few
+it leaves short of an ulp through further steps of their own
+(``_spectral_parts``).
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ __all__ = [
     "SchwartzParams",
     "Schedule",
     "ReturnMoments",
-    "ou_mean",
     "ou_variance",
-    "ou_covariance",
     "return_moments",
     "iid_return_moments",
 ]
@@ -152,9 +151,13 @@ class ReturnMoments:
     alpha_bar : ndarray
         Chi-square weights, in annualized variance points (x 100^2/T),
         largest first for spectral instances.
+    delta_alpha : ndarray
+        Noncentral weights b_i = alpha_bar_i delta_bar_i, which every
+        double-precision reader reads: w = 100^2/T times the squared
+        projections of ``mu_bar`` on the eigenvectors (w mu_bar_i^2 for
+        independent returns), so they sum to w mu_bar^T mu_bar.
     delta_bar : ndarray
-        Noncentralities paired with ``alpha_bar``; for spectral instances
-        they come from the closed-form sinusoid eigenvectors, in O(n).
+        Noncentralities b_i/alpha_bar_i (0 where alpha_bar_i = 0), derived.
     nu : int
         Degrees of freedom N-1; the read-only ``eta`` is the same number
         under the name of the constant-regime reduction.
@@ -169,7 +172,7 @@ class ReturnMoments:
     mu_bar: np.ndarray = field(repr=False)
     alpha_bar: np.ndarray = field(repr=False)
     var_bar: np.ndarray = field(repr=False)
-    _delta_bar: np.ndarray = field(repr=False)
+    delta_alpha: np.ndarray = field(repr=False)
     nu: int = 0
     lambda_bar: float = 0.0
     sigma_N: float = 0.0
@@ -177,7 +180,8 @@ class ReturnMoments:
 
     @property
     def delta_bar(self) -> np.ndarray:
-        return self._delta_bar
+        a = self.alpha_bar
+        return np.divide(self.delta_alpha, a, out=np.zeros_like(a), where=a != 0.0)
 
     @property
     def eta(self) -> int:
@@ -191,11 +195,6 @@ class ReturnMoments:
     def _alpha_range(self) -> tuple[float, float]:
         """(min, max) of alpha_bar, which every series quote reads."""
         return float(np.min(self.alpha_bar)), float(np.max(self.alpha_bar))
-
-    @cached_property
-    def _delta_alpha(self) -> np.ndarray:
-        """delta_bar_i alpha_bar_i, the weights of the noncentral sums U_m."""
-        return self.delta_bar * self.alpha_bar
 
     def is_constant_regime(self) -> bool:
         """True when every chi-square weight is within 1e-9 relative of the
@@ -214,11 +213,11 @@ class ReturnMoments:
         return float(np.sum(self.alpha_bar)) + w * float(self.mu_bar @ self.mu_bar)
 
     def mean_forms(self, count: int, beta_bar: float) -> np.ndarray:
-        """The weighted sums U_m = sum_i delta_bar_i alpha_bar_i xi_i^m for
+        """The sums U_m = sum_i b_i xi_i^m of the noncentral weights b for
         m = 0..count-1, with xi_i = 1 - alpha_bar_i/beta_bar, in count*n flops."""
         xi = 1 - self.alpha_bar / beta_bar if count > 1 else None
         out = np.empty(max(count, 0))
-        v = self._delta_alpha
+        v = self.delta_alpha
         for m in range(count):
             if m:
                 v = v * xi
@@ -226,26 +225,11 @@ class ReturnMoments:
         return out
 
 
-def ou_mean(params: SchwartzParams, x0: float, t: float) -> float:
-    """Conditional mean of X_t given X_0 = x0."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    e = math.exp(-params.kappa * t)
-    return e * x0 + (1.0 - e) * params.alpha
-
-
 def ou_variance(params: SchwartzParams, t: float) -> float:
     """Conditional variance of X_t given X_0: sigma^2/(2 kappa) (1-e^{-2 kappa t})."""
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     return params.sigma**2 / (2.0 * params.kappa) * (-math.expm1(-2.0 * params.kappa * t))
-
-
-def ou_covariance(params: SchwartzParams, t_prev: float, t: float) -> float:
-    """Cov(X_{t_prev}, X_t) given X_0, for 0 <= t_prev <= t."""
-    if not 0 <= t_prev <= t:
-        raise DomainError(f"need 0 <= t_prev <= t, got ({t_prev}, {t})")
-    return ou_variance(params, t_prev) * math.exp(-params.kappa * (t - t_prev))
 
 
 def _one_step_variance(params: SchwartzParams, dt: float) -> float:
@@ -257,21 +241,12 @@ def _one_step_variance(params: SchwartzParams, dt: float) -> float:
     return q
 
 
-def _noncentralities(weights: np.ndarray, means_sq: np.ndarray) -> np.ndarray:
-    """delta_i = means_sq_i / weights_i, and 0 where both vanish."""
-    zero = weights == 0.0
-    if np.any(zero & (means_sq != 0.0)):
-        raise DegenerateInterval(
-            "zero-variance component with nonzero mean: noncentrality is undefined"
-        )
-    return means_sq / np.where(zero, 1.0, weights)
-
-
 def _spectral_parts(
     kdt: float, q: float, nu: int, x0_gap: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the return covariance, largest first, and their
-    noncentralities, in closed form at O(1) each.
+    """Eigenvalues lambda of the return covariance, largest first, and the
+    squared projections lambda delta of the means on their eigenvectors, in
+    closed form at O(1) each.
 
     The grid log prices after the known start form a Gauss-Markov chain with
     step coefficient phi = e^{-kappa dt} and innovation variance q, so their
@@ -309,8 +284,8 @@ def _spectral_parts(
 
         ||y||^2 = (2n - 1 - sin((2n-1) theta)/sin(theta))/4 + sin^2(n theta)/(1-phi)
 
-    the noncentrality is
-    delta = (x0 - alpha)^2 (1-phi)^4 cot^2(theta/2) / (4 q E ||y||^2).
+    the noncentral weight is lambda delta =
+    (x0 - alpha)^2 (1-phi)^4 cos^2(theta/2) / (E^2 ||y||^2), free of q.
     At the root, with s = sin(theta/2), c = cos(theta/2), d = s^2 + rho^2 c^2
     and v = n theta - j pi, tan v = rho c/s; with 4 rho^2/(1-phi) = 2 rho (1+rho)
     this reads 4 ||y||^2 = 2n - 1 + (1+rho)(s^2 + rho c^2)/d.
@@ -372,8 +347,7 @@ def _spectral_parts(
     # 4 q s^2/E, arranged so that rounding keeps the weights in order
     lam = 4.0 * q / (om * om / s2 + 4.0 * phi)
     norm4 = (2 * nu - 1) + (1.0 + rho) * (s2 + rho * c2) / (s2 + (rho * rho) * c2)
-    delta = (x0_gap * om * om) ** 2 * c2 / (q * s2 * e * norm4)
-    return lam, delta
+    return lam, 4.0 * (x0_gap * om * om) ** 2 * c2 / (e * e * norm4)
 
 
 def return_moments(
@@ -423,14 +397,18 @@ def return_moments(
 
 def _return_moments(mu_bar, var_bar, horizon: float, spectral=None) -> ReturnMoments:
     """ReturnMoments of the returns N(mu_bar_i, var_bar_i): weights and
-    noncentralities from ``spectral``, those of the returns' covariance, or
-    else those of independent returns; lambda_bar and sigma_N from the last."""
+    noncentral weights (times w = 100^2/T) from ``spectral``, those of the
+    returns' covariance, or else those of independent returns, var_bar_i and
+    mu_bar_i^2; lambda_bar and sigma_N from the last."""
     mu_sq = mu_bar**2
-    weights, delta_bar = spectral or (var_bar, _noncentralities(var_bar, mu_sq))
-    var_n = var_bar[-1]
+    if spectral is None and np.any((var_bar == 0.0) & (mu_sq != 0.0)):
+        raise DegenerateInterval(
+            "zero-variance component with nonzero mean: noncentrality is undefined")
+    weights, mean_weights = spectral or (var_bar, mu_sq)
+    w, var_n = 100.0**2 / horizon, var_bar[-1]
     return ReturnMoments(
-        mu_bar=mu_bar, alpha_bar=(100.0**2 / horizon) * weights, var_bar=var_bar,
-        _delta_bar=delta_bar, nu=mu_bar.size, horizon=horizon, sigma_N=math.sqrt(var_n),
+        mu_bar=mu_bar, alpha_bar=w * weights, var_bar=var_bar, delta_alpha=w * mean_weights,
+        nu=mu_bar.size, horizon=horizon, sigma_N=math.sqrt(var_n),
         lambda_bar=float(np.sum(mu_sq) / var_n) if var_n > 0 else 0.0,
     )
 

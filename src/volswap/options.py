@@ -74,7 +74,8 @@ class OptionSpec:
     rho selects the payoff (1/2: volatility call, 1: variance call); strike
     is in matching units (vol points x100 / variance points x100^2); (a, b)
     parameterize the expansion and must satisfy ``a > 2 max(b, 0) - 1``;
-    discount is the accumulated discount factor exp(-integral of r).
+    discount is the accumulated discount factor exp(-integral of r).  The
+    strike, a and b must be finite.
     """
 
     rho: float
@@ -87,6 +88,8 @@ class OptionSpec:
     def __post_init__(self) -> None:
         if self.rho not in (0.5, 1.0):
             raise InvalidConfig(f"rho must be 1/2 or 1, got {self.rho}")
+        if not all(map(math.isfinite, (self.strike, self.a, self.b))):
+            raise InvalidConfig(f"strike, a, b must be finite: {self.strike}, {self.a}, {self.b}")
         if not self.strike > 0:
             raise InvalidConfig(f"strike must be > 0, got {self.strike}")
         if not self.a > 2.0 * max(self.b, 0.0) - 1.0:

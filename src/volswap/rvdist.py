@@ -1,5 +1,6 @@
 """Distribution of realized variance RV = sum_i alpha_bar_i * Y_i with
-Y_i ~ noncentral chi-square(1, delta_bar_i).
+Y_i ~ noncentral chi-square(1, delta_bar_i), read through the noncentral
+weights b_i = alpha_bar_i delta_bar_i (``ReturnMoments.delta_alpha``).
 
 The paper expands the density in generalized Laguerre polynomials around a
 Gamma(p, 2*beta_bar) envelope, p = nu/2.  The library takes the shape center
@@ -13,12 +14,12 @@ generating function
 
     G(z) = sum_k c_k z^k
          = prod_i (1 - xi_i z)^{-1/2}
-           exp(-(z / (2 beta_bar)) sum_i delta_bar_i alpha_bar_i / (1 - xi_i z)),
+           exp(-(z / (2 beta_bar)) sum_i b_i / (1 - xi_i z)),
 
 so c_0 = 1, and a raw moment of any order ell > 0 is the series
 E[RV^ell] = (2 beta_bar)^ell Gamma(p+ell)/Gamma(p) sum_k c_k (-ell)_k/(p)_k.
 The coefficients satisfy a linear recurrence driven by the power sums of xi
-and the noncentral sums U_m = sum_i delta_bar_i alpha_bar_i xi_i^m, and a
+and the noncentral sums U_m = sum_i b_i xi_i^m, and a
 rigorous tail bound is available when the contraction factor
 zeta = max |xi_i| < 1.
 
@@ -30,8 +31,8 @@ c_k, and continues an earlier list instead of rebuilding it.
 :func:`raw_moment` in double precision.  Each fixed-point product is
 truncated once (an error below 2^-P) and each exact sum rounded once to an
 mpmath real.  Both multiply by the front factor
-(2 beta_bar)^ell Gamma(p+ell)/Gamma(p), formed by the same expression in
-``math`` and in mpmath at the working precision.
+(2 beta_bar)^ell Gamma(p+ell)/Gamma(p), the gamma ratio by its asymptotic
+series in ``math`` (``_gamma_ratio``) and by log-gammas in mpmath.
 
 mpmath is imported on the first call of :func:`coeffs_hp` or
 :func:`raw_moment_hp`, not with this module: the swap quotes and the Monte
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate, count
 from operator import mul
 from typing import NamedTuple
@@ -138,14 +140,14 @@ def coeffs(rm: ReturnMoments, cfg: ExpansionConfig) -> ExpansionCoeffs:
 
     c_0 = 1 and ``j c_j = sum_{i=1..j} d_i c_{j-i}`` with
     ``d_j = 1/2 s_j - (j / (2 beta)) U_{j-1}``, where s_j = sum_i xi_i^j is a
-    power sum and U_m = sum_i delta_i alpha_bar_i xi_i^m a noncentral sum
-    (those of ``ReturnMoments.mean_forms``), each power formed from the last
-    by one product.
+    power sum and U_m = sum_i b_i xi_i^m a noncentral sum (those of
+    ``ReturnMoments.mean_forms``), each power formed from the last by one
+    product.
     """
     _check_weights(rm)
     K, beta = cfg.k_max, cfg.beta_bar
     xi = xij = 1 - rm.alpha_bar / beta
-    v = rm._delta_alpha  # delta_i alpha_bar_i xi_i^(j-1)
+    v = rm.delta_alpha  # b_i xi_i^(j-1)
     c = np.zeros(K + 1)
     c[0] = 1.0
     d = np.zeros(K + 1)
@@ -200,6 +202,34 @@ def _poch_ratios(ell: float, p: float):
     return accumulate(((k - 1 - ell) / (p + k - 1) for k in count(1)), mul, initial=1)
 
 
+_BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66)  # B_0..B_10
+
+
+@lru_cache(maxsize=16)
+def _gamma_tail(f: float) -> tuple:
+    """(-1)^n (B_n(f) - B_n)/(n (n-1)), n = 11..2, B_n(f) = sum_k C(n, k) B_{n-k} f^k."""
+    return tuple((-1) ** n * sum(math.comb(n, k) * _BERNOULLI[n - k] * f**k
+                                 for k in range(1, n + 1)) / (n * (n - 1))
+                 for n in range(11, 1, -1))
+
+
+def _gamma_ratio(p: float, ell: float) -> float:
+    """Gamma(p+ell)/Gamma(p) for p, ell > 0 without cancelling two lgamma
+    values.  With f = ell - floor(ell) and x = p + s >= 16 it is the short
+    product (p)_s (p+f)_{floor(ell)} / (p+f)_s times Gamma(x+f)/Gamma(x) =
+    x^f exp(sum_{n>=2} (-1)^n (B_n(f) - B_n) / (n (n-1) x^(n-1))) (Tricomi &
+    Erdelyi, Pacific J. Math. 1, 1951), whose first ten terms leave about
+    1e-16 at x = 16: |B_n(f)| < 2 n!/(2 pi)^n on [0, 1)."""
+    f, s = ell % 1.0, max(0, math.ceil(16.0 - p))
+    x = p + s
+    ratio = math.prod(p + j for j in range(s)) * math.prod(p + f + j for j in range(int(ell)))
+    ratio /= math.prod(p + f + j for j in range(s))
+    tail = 0.0
+    for c in _gamma_tail(f):
+        tail = (tail + c) / x
+    return ratio * x**f * math.exp(tail)
+
+
 def raw_moment(
     rm: ReturnMoments, cfg: ExpansionConfig, co: ExpansionCoeffs, ell: float
 ) -> SeriesResult:
@@ -213,10 +243,12 @@ def raw_moment(
     from k = ell + 1 on: the series ends there, and the sum stops before the
     c_k past its end, which may have overflowed.
     """
-    if not ell > 0:
-        raise DomainError(f"raw_moment requires ell > 0, got {ell}")
+    if not 0 < ell < math.inf:
+        raise DomainError(f"raw_moment requires a finite ell > 0, got {ell}")
     p = rm.nu / 2
-    front = math.exp(ell * math.log(2 * cfg.beta_bar) + math.lgamma(p + ell) - math.lgamma(p))
+    front = (2 * cfg.beta_bar) ** ell * _gamma_ratio(p, ell)
+    if not 0.0 < front < math.inf:
+        raise DomainError(f"raw_moment(ell={ell}): the front factor {front} is out of range")
     total = 0.0
     last = 0.0
     for ck, hyp in zip(co.c, _poch_ratios(ell, p)):
@@ -246,7 +278,7 @@ class _Majorant(NamedTuple):
 
         G(z) = sum_k c_k z^k
              = prod_i (1 - xi_i z)^{-1/2}
-               exp(-(z / (2 beta)) sum_i delta_i alpha_bar_i / (1 - xi_i z)):
+               exp(-(z / (2 beta)) sum_i b_i / (1 - xi_i z)):
 
     on |z| = r < 1/zeta, ``|G| <= (1 - zeta r)^{-half_n}
     exp(r (s + a/(1 - zeta r))/2)``.  At most one of ``s`` and ``a`` is
@@ -268,7 +300,7 @@ def _majorant(rm: ReturnMoments, cfg: ExpansionConfig) -> _Majorant:
     """Reduce the components to the majorant's constants, once, in O(n).
 
     |1 - xi_i z| >= 1 - zeta r bounds the product.  The exponent weights
-    delta_i alpha_bar_i / beta are >= 0 and sum to S = U_0 / beta
+    b_i / beta are >= 0 and sum to S = U_0 / beta
     (``ReturnMoments.mean_forms``).  With every xi_i >= 0,
     min Re z/(1 - xi z) = -r/(1 + xi r) >= -r on |z| = r, so the exponential
     is at most e^{S r/2} (``s`` = S).  A beta_bar below max alpha_bar makes
@@ -341,8 +373,9 @@ class _HpKernel:
     """The recurrence of :func:`coeffs` in fixed point, resumable: every number
     is a Python integer scaled by 2^P, P = prec + ``_GUARD_BITS``.
 
-    ``x`` and ``w`` hold floor(xi_i 2^P) and floor(delta_i alpha_bar_i 2^P)
-    of the exact rationals the float inputs define, ``beta`` is beta_bar as
+    ``x`` and ``w`` hold floor(xi_i 2^P) and floor(b_i 2^P) of the exact
+    rationals the float inputs define, b_i = ``rm.delta_alpha`` the stored
+    noncentral weight (one float each), ``beta`` is beta_bar as
     an exact ratio, ``power`` holds xi_i^J for the last order J of ``d``,
     and ``d``/``c`` hold d_0..d_J and c_0..c_K.  Each power is the previous
     one times xi_i, truncated once by ``>> P``; every sum is exact, and each
@@ -364,12 +397,9 @@ class _HpKernel:
     def start(cls, rm: ReturnMoments, cfg: ExpansionConfig, P: int) -> "_HpKernel":
         _check_weights(rm)
         bn, bd = float(cfg.beta_bar).as_integer_ratio()
-        x, w = [], []
-        for a, delta in zip(rm.alpha_bar.tolist(), rm.delta_bar.tolist()):
-            an, ad = a.as_integer_ratio()
-            dn, dd = delta.as_integer_ratio()
-            x.append(((bn * ad - an * bd) << P) // (bn * ad))  # xi_i = 1 - a_i/beta
-            w.append((dn * an << P) // (dd * ad))  # w_i = delta_i a_i
+        a_ratios = map(float.as_integer_ratio, rm.alpha_bar.tolist())
+        x = [((bn * ad - an * bd) << P) // (bn * ad) for an, ad in a_ratios]  # 1 - a_i/beta
+        w = [(n << P) // d for n, d in map(float.as_integer_ratio, rm.delta_alpha.tolist())]
         return cls(P, (bn, bd), x, w, [1 << P] * len(x), [0], [1 << P])
 
     def _power_order(self) -> None:
@@ -407,7 +437,7 @@ def coeffs_hp(
     The option pricer's coefficient sums cancel across tens of orders of
     magnitude, so its moment inputs must carry far more than double
     precision end to end.  This is the recurrence of :func:`coeffs`, with the
-    noncentral sums U_m taken over the per-component noncentralities so that
+    noncentral sums U_m taken over the stored noncentral weights so that
     the coefficients are exact for one distribution, run in an integer
     kernel (``_HpKernel``) of P = prec + ``_GUARD_BITS`` bits; each c_k is
     rounded once to an mpmath real.
@@ -510,8 +540,8 @@ def truncation_bound(rm: ReturnMoments, cfg: ExpansionConfig, ell: float, K: int
     """
     if K < 0:
         raise DomainError(f"truncation_bound requires K >= 0, got {K}")
-    if not ell > 0:
-        raise DomainError(f"truncation_bound requires ell > 0, got {ell}")
+    if not 0 < ell < math.inf:
+        raise DomainError(f"truncation_bound requires a finite ell > 0, got {ell}")
     if ell == int(ell) and K >= ell:
         return 0.0  # the series ends at k = ell, whatever zeta is
     maj = _majorant(rm, cfg)

@@ -76,14 +76,22 @@ def test_price_validate_mc_columns(capsys):
 
 
 def test_price_json_matches_csv_value(capsys):
-    args = ["price", "--contract", "var-swap", "--sigma", "0.08", "--N", "13"]
-    code_c, out_c, _ = run_cli(capsys, *args)
-    code_j, out_j, _ = run_cli(capsys, *args, "--format", "json")
-    assert code_c == 0 and code_j == 0
-    _, header, rows = parse_csv(out_c)
-    record = json.loads(out_j)
-    assert float(rows[0][header.index("value")]) == record["value"]
-    assert int(rows[0][header.index("terms")]) == record["terms"]
+    # the CSV row's columns as flat keys (``bound`` null for a call) beside
+    # the params of the CSV block, without its config_hash and version
+    for args in (["price", "--contract", "var-swap", "--sigma", "0.08", "--N", "13"],
+                 ["price", "--contract", "vol-swap", "--N", "13", "--validate-mc", "200"],
+                 ["price", "--contract", "var-call", "--strike", "64", "--N", "13"]):
+        code_c, out_c, _ = run_cli(capsys, *args)
+        code_j, out_j, _ = run_cli(capsys, *args, "--format", "json")
+        assert code_c == 0 and code_j == 0
+        meta, header, rows = parse_csv(out_c)
+        record = json.loads(out_j)
+        assert float(rows[0][header.index("value")]) == record["value"]
+        assert int(rows[0][header.index("terms")]) == record["terms"]
+        assert sorted(record) == sorted(header + ["params"])
+        assert [cli._fmt(record[h]) for h in header] == rows[0]
+        assert {k: cli._fmt(v) for k, v in record["params"].items()} == {
+            k: v for k, v in meta.items() if k not in ("config_hash", "version")}
 
 
 def test_price_missing_closed_form_args_exit_2(capsys):
@@ -172,6 +180,25 @@ def test_pdf_not_finite_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: the density series is not finite at y = ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each refused before it reaches a nan (exit 3) or an OverflowError
+    (("price", "--contract", "vol-call", "--strike", "inf"),
+     "strike, a, b must be finite: inf, 0.0, 0.0"),
+    (("price", "--contract", "var-call", "--strike", "inf"),
+     "strike, a, b must be finite: inf, 0.0, 0.0"),
+    (("price", "--contract", "var-call", "--strike", "64", "--a", "inf"),
+     "strike, a, b must be finite: 64.0, inf, 0.0"),
+    (("price", "--contract", "var-call", "--strike", "64", "--b=-inf"),
+     "strike, a, b must be finite: 64.0, 0.0, -inf"),
+    (("pdf", "--y-max", "inf", "--points", "3"), "--y-max must be finite"),
+    (("bound-table", "--ell", "inf", "--kappas", "0.5", "--Ks", "3", "--sigmas", "0.05"),
+     "truncation_bound requires a finite ell > 0, got inf"),
+], ids=["vol-call-strike", "var-call-strike", "a", "b", "pdf-y-max", "bound-table-ell"])
+def test_non_finite_inputs_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--N", "13")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_pdf_large_n_is_finite(capsys):

@@ -1,6 +1,7 @@
 """mpmath is imported on the first arbitrary-precision call, not with the
-package.  These tests run in a fresh interpreter, because the test modules
-import mpmath themselves."""
+package, and scipy and the benchmark harness never are.  These tests run in a
+fresh interpreter, because the test modules import mpmath and scipy
+themselves."""
 
 import json
 import os
@@ -29,6 +30,9 @@ def provider():
     return options.LaguerreMoments(rm)
 
 SPEC = options.OptionSpec(rho=1.0, strike=66.65867979246397)
+
+def _foreign():  # the loaded modules of scipy and perfbench, which the library never needs
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "perfbench"))
 """
 
 _SWAP_PATH = _PRELUDE + """
@@ -48,6 +52,7 @@ import mpmath
 print(json.dumps({
     "code": code,
     "loaded_before": loaded_before,
+    "foreign": _foreign(),
     "value": value,
     "options_rebound": options.mpm is mpmath,
     "rvdist_rebound": rvdist.mpm is mpmath,
@@ -80,7 +85,7 @@ finally:
     sys.setswitchinterval(old)
 serial = options.call_price(SPEC, provider()).value
 print(json.dumps({"loaded_before": loaded_before, "alive": alive,
-                  "results": results, "serial": serial}))
+                  "results": results, "serial": serial, "foreign": _foreign()}))
 """
 
 
@@ -96,8 +101,8 @@ def _run_fresh(script: str, *args: str) -> dict:
 
 
 def test_import_leaves_mpmath_unloaded():
-    script = "import json, sys, volswap, volswap.cli, volswap.options\n"
-    assert _run_fresh(script + "print(json.dumps('mpmath' in sys.modules))") is False
+    result = _run_fresh(_PRELUDE + "print(json.dumps(['mpmath' in sys.modules, _foreign()]))")
+    assert result == [False, []]
 
 
 @pytest.mark.parametrize("first_call, pinned, rvdist_rebound", [
@@ -108,6 +113,7 @@ def test_swap_quotes_and_mc_never_load_mpmath(first_call, pinned, rvdist_rebound
     result = _run_fresh(_SWAP_PATH, first_call)
     assert result["code"] == 0
     assert result["loaded_before"] is False
+    assert result["foreign"] == []
     assert result["value"] == pinned
     assert result["options_rebound"] is True
     assert result["rvdist_rebound"] is rvdist_rebound
@@ -116,6 +122,7 @@ def test_swap_quotes_and_mc_never_load_mpmath(first_call, pinned, rvdist_rebound
 def test_concurrent_first_use_matches_serial():
     result = _run_fresh(_FIRST_USE_RACE)
     assert result["loaded_before"] is False
+    assert result["foreign"] == []
     assert not any(result["alive"])
     assert result["serial"] == PINNED_CALL
     assert result["results"] == [result["serial"]] * 4

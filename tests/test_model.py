@@ -8,7 +8,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volswap import model
@@ -18,8 +18,6 @@ from volswap.model import (
     Schedule,
     SchwartzParams,
     iid_return_moments,
-    ou_covariance,
-    ou_mean,
     ou_variance,
     return_moments,
 )
@@ -99,6 +97,21 @@ def test_schedule_grid():
 # ---------------------------------------------------------------------------
 # OU moments
 # ---------------------------------------------------------------------------
+
+
+def ou_mean(params, x0, t):
+    """Conditional mean of X_t given X_0 = x0, an oracle of the grid means."""
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    e = math.exp(-params.kappa * t)
+    return e * x0 + (1.0 - e) * params.alpha
+
+
+def ou_covariance(params, t_prev, t):
+    """Cov(X_{t_prev}, X_t) given X_0, for 0 <= t_prev <= t."""
+    if not 0 <= t_prev <= t:
+        raise DomainError(f"need 0 <= t_prev <= t, got ({t_prev}, {t})")
+    return ou_variance(params, t_prev) * math.exp(-params.kappa * (t - t_prev))
 
 
 def test_ou_mean_identities():
@@ -530,12 +543,55 @@ def test_constant_regime_flag_matches_elementwise_definition(rel, sign, last):
         for weights in ([w, last, last], [last, w, last], [w, 2 * last - w, last]):
             a = np.array(weights)
             rm = model.ReturnMoments(mu_bar=np.zeros(3), alpha_bar=a, var_bar=a,
-                                     _delta_bar=np.zeros(3), nu=3)
+                                     delta_alpha=np.zeros(3), nu=3)
             expected = _elementwise_constant(a)
             assert rm.is_constant_regime() is expected, (weights, expected)
             hits.add(expected)
     if rel != 1e-9:
         assert hits == {rel < 1e-9}
+
+
+def _noncentral_weight_error(sigma, kappa, n_obs, independent):
+    """|sum_i b_i - w mu_bar^T mu_bar| relative to the right side, which the
+    rotation invariance of the norm makes exact: None where the one-step
+    variance is refused."""
+    try:
+        _, sch, rm = make_instance(sigma=sigma, kappa=kappa, n_obs=n_obs,
+                                   independent_increments=independent)
+    except DomainError as exc:
+        assert "one-step variance" in str(exc)
+        return None
+    ref = 100.0**2 / sch.horizon * float(rm.mu_bar @ rm.mu_bar)
+    return abs(float(np.sum(rm.delta_alpha)) - ref) / ref
+
+
+@pytest.mark.parametrize("sigma", [1e-148, 1e-150, 1e-152])
+def test_noncentral_weights_sum_to_the_mean_norm_at_tiny_sigma(sigma):
+    # here q s^2 E ||y||^2, the denominator of delta_bar, is subnormal: b
+    # formed through delta_bar is 8.7e-13, 2.3e-8 and 2.0e-4 off
+    assert _noncentral_weight_error(sigma, 0.5, 1000, False) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_sigma=st.floats(math.log(1e-152), math.log(0.2)), kappa=st.floats(0.1, 5.0),
+       n_obs=st.integers(2, 5000), independent=st.booleans())
+@example(log_sigma=math.log(1e-152), kappa=0.1, n_obs=2, independent=False)
+@example(log_sigma=math.log(1e-152), kappa=5.0, n_obs=5000, independent=False)
+@example(log_sigma=math.log(1e-152), kappa=5.0, n_obs=5000, independent=True)
+@example(log_sigma=math.log(0.2), kappa=0.1, n_obs=5000, independent=False)
+@example(log_sigma=math.log(0.2), kappa=5.0, n_obs=2, independent=True)
+@example(log_sigma=math.log(0.005), kappa=5.0, n_obs=3, independent=False)
+def test_noncentral_weights_sum_to_the_mean_norm(log_sigma, kappa, n_obs, independent):
+    err = _noncentral_weight_error(math.exp(log_sigma), kappa, n_obs, independent)
+    assert err is None or err <= 1e-14
+
+
+def test_delta_bar_is_derived_from_the_noncentral_weights():
+    _, _, rm = make_instance(sigma=0.08, kappa=1.5, n_obs=52)
+    assert rm.delta_bar.tobytes() == (rm.delta_alpha / rm.alpha_bar).tobytes()
+    rm = model.ReturnMoments(mu_bar=np.zeros(2), alpha_bar=np.array([2.0, 0.0]),
+                             var_bar=np.zeros(2), delta_alpha=np.array([3.0, 0.0]), nu=2)
+    assert rm.delta_bar.tolist() == [1.5, 0.0]
 
 
 def test_iid_sigma_n_is_the_last_volatility():

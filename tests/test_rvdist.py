@@ -239,9 +239,29 @@ def test_raw_moment_domain(example_instance):
     co = rvdist.coeffs(rm, cfg)
     with pytest.raises(DomainError):
         rvdist.raw_moment(rm, cfg, co, 0.0)
+    # an infinite order is refused, not summed to nan
+    with pytest.raises(DomainError, match="finite ell > 0, got inf"):
+        rvdist.raw_moment(rm, cfg, co, math.inf)
+    # Gamma(p+ell)/Gamma(p) overflows a double: refused, not summed to inf
+    with pytest.raises(DomainError, match="front factor inf is out of range"):
+        rvdist.raw_moment(rm, cfg, co, 200.0)
     for ell in (0.0, -0.5):
         with pytest.raises(DomainError, match="raw_moment_hp requires ell > 0"):
             rvdist.raw_moment_hp(rm, cfg, [], ell, dps=40)
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.5, 2.5])
+def test_gamma_ratio_within_1e15_of_fifty_digits(ell):
+    # Gamma(p+ell)/Gamma(p) at every p = nu/2 for N = 2..5000, where a
+    # difference of two lgamma values near 2e4 is up to 6.3e-12 off
+    with mpm.workdps(50):
+        for start in (0.5, 1.0):  # odd and even nu, stepped by the exact recurrence
+            p, ref = mpm.mpf(start), mpm.gamma(start + ell) / mpm.gamma(start)
+            while p <= 2499.5:
+                got = rvdist._gamma_ratio(float(p), ell)
+                assert abs(got / ref - 1) <= 1e-15, (float(p), got)
+                ref *= (p + ell) / p
+                p += 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -471,6 +491,9 @@ def test_truncation_bound_validation(example_instance):
         rvdist.truncation_bound(rm, cfg, 0.5, -1)
     with pytest.raises(DomainError):
         rvdist.truncation_bound(rm, cfg, 0.0, 3)
+    # refused before int(ell) overflows
+    with pytest.raises(DomainError, match="finite ell > 0, got inf"):
+        rvdist.truncation_bound(rm, cfg, math.inf, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +537,7 @@ def _coeffs_reference(rm, cfg, k_max, dps=150):
     with mpm.workdps(dps):
         beta = mpm.mpf(cfg.beta_bar)
         xi = [1 - mpm.mpf(a) / beta for a in rm.alpha_bar]
-        w = [mpm.mpf(d) * mpm.mpf(a) for a, d in zip(rm.alpha_bar, rm.delta_bar)]
+        w = [mpm.mpf(b) for b in rm.delta_alpha]
         power = [mpm.mpf(1)] * len(xi)
         d = [mpm.mpf(0)]
         for j in range(1, k_max + 1):
@@ -640,4 +663,4 @@ def test_raw_moment_hp_refuses_cancelled_sums(kappa):
 
 def test_raw_moment_hp_more_digits_survive_cancellation():
     _, _, rm = make_instance(sigma=0.005, kappa=4.0, n_obs=52)
-    assert float(options.LaguerreMoments(rm).moment_hp(0.5, 80)) == 1.9072934383283935
+    assert float(options.LaguerreMoments(rm).moment_hp(0.5, 80)) == 1.9072934383283937

@@ -254,7 +254,7 @@ def _mp_rv_mean(sigma, kappa, n_obs, s0=2.0, mu=0.6, horizon=1.0):
 
 
 def test_var_strike_within_rounding_of_fifty_digits():
-    # The series' front factor is a difference of lgammas, 2e-12 off at
+    # The series' front factor was a difference of lgammas, 2e-12 off at
     # N = 5000; the first cumulant is exact to rounding.
     for sigma in (0.005, 0.02, 0.08, 0.2):
         for kappa in (0.1, 1.5, 5.0):
@@ -266,8 +266,8 @@ def test_var_strike_within_rounding_of_fifty_digits():
 
 @pytest.mark.parametrize("sigma", [1e-148, 1e-150, 1e-152])
 def test_var_strike_exact_where_the_noncentralities_lose_bits(sigma):
-    # The spectral delta_bar lose bits through a subnormal product here
-    # (their sum was 2e-4 off at 1e-152); mu_bar^T mu_bar does not.
+    # The spectral delta_bar once lost bits through a subnormal product here
+    # (their sum was 2e-4 off at 1e-152); mu_bar^T mu_bar did not.
     _, _, rm = make_instance(sigma=sigma, kappa=0.5, n_obs=1000)
     ref = _mp_rv_mean(sigma, 0.5, 1000)
     assert abs(swaps.var_swap_tv(rm).strike - ref) <= 1e-14 * ref
