@@ -26,7 +26,7 @@ schedule = Schedule(t1=0.0, horizon=1.0, n_obs=52)
 # chi-squares; return_moments computes the exact weights and noncentralities
 rm = return_moments(params, schedule)
 
-print("chi-square components:", rm.n_obs)
+print("chi-square components:", rm.nu)
 print("E[RV] (variance points):", rm.rv_mean())
 
 # --- analytic strikes -------------------------------------------------------

@@ -11,8 +11,8 @@ Output is CSV (default) or JSON; CSV carries a ``#``-prefixed metadata block
 (parameters, seed, config hash, version) and 17-significant-digit values.
 Exit codes: 0 success, 2 invalid parameters, 3 convergence or precondition
 failure.  A ``--config FILE`` (or ``--config=FILE``) of flat ``key=value``
-lines supplies defaults that explicit flags override.  ``VOLSWAP_THREADS``
-caps MC parallelism (default: the core count).
+lines supplies defaults that explicit flags override.  Monte Carlo streams
+run on at most one thread per core.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ alpha, with phi = e^{-kappa dt} and one-step variance q = ``ou_variance(dt)``;
 each path carries y = (x - alpha)/sqrt(q), and a step with a standard normal
 z takes the return r = (phi - 1) y + z, y += r, so RV = q 100^2/T sum r^2.
 Draws come from SFC64 generators keyed per stream, making runs a pure
-function of (seed, n_streams) and bitwise reproducible.  Streams run on up
-to ``os.cpu_count()`` threads; the ``VOLSWAP_THREADS`` environment variable
-lowers or raises that cap.
+function of (seed, n_streams) and bitwise reproducible.  Streams run on at
+most one thread per core.
 """
 
 from __future__ import annotations
@@ -55,19 +54,6 @@ class McEstimate:
     n: int
 
 
-def _max_workers(n_streams: int) -> int:
-    cap = os.environ.get("VOLSWAP_THREADS")
-    if cap is None:
-        return min(n_streams, os.cpu_count() or 1)
-    try:
-        cap_val = int(cap)
-    except ValueError as exc:
-        raise DomainError(f"VOLSWAP_THREADS must be an integer, got {cap!r}") from exc
-    if cap_val < 1:
-        raise DomainError(f"VOLSWAP_THREADS must be >= 1, got {cap_val}")
-    return min(n_streams, cap_val)
-
-
 def _stream_rv(
     params: SchwartzParams, schedule: Schedule, q: float, out: np.ndarray, seed: int, stream: int
 ) -> None:
@@ -106,7 +92,7 @@ def simulate_rv(params: SchwartzParams, schedule: Schedule, mc: McConfig) -> np.
     out = np.empty(mc.n_paths)
     views = np.array_split(out, mc.n_streams)
     tasks = [(s, view) for s, view in enumerate(views) if view.size]
-    with ThreadPoolExecutor(max_workers=_max_workers(len(tasks))) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
         list(pool.map(lambda t: _stream_rv(params, schedule, q, t[1], mc.seed, t[0]), tasks))
     return out
 

@@ -187,10 +187,6 @@ class ReturnMoments:
     def eta(self) -> int:
         return self.nu
 
-    @property
-    def n_obs(self) -> int:
-        return self.nu + 1
-
     @cached_property
     def _alpha_range(self) -> tuple[float, float]:
         """(min, max) of alpha_bar, which every series quote reads."""

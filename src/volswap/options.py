@@ -153,6 +153,7 @@ class LaguerreMoments:
     def __init__(self, rm: ReturnMoments):
         self._rm = rm
         self._cfg = rvdist.ExpansionConfig.defaults(rm)
+        self._mean = rm.rv_mean()
         self._c_hp: list = []
         self._hp_dps = 0
         self._hp_cache: dict[float, tuple] = {}
@@ -185,6 +186,21 @@ class LaguerreMoments:
                 raise NoConvergence(
                     f"moment series for ell={ell} did not stagnate within "
                     f"{_HP_K_CAP} coefficients"
+                )
+            # A stagnated sum can still be cancellation noise: refuse one that
+            # is not positive or breaks Jensen's bound E[RV]^ell from the exact
+            # E[RV], an upper bound for 0 < ell < 1 and a lower one for ell > 1.
+            # The check compares logs, log(value) from its binary mantissa and
+            # exponent, so E[RV]^ell is never formed and cannot overflow.
+            positive = value > 0
+            excess = math.nan  # log(value / E[RV]^ell)
+            if positive:
+                m, e = mpm.frexp(value)
+                excess = math.log(m) + e * math.log(2.0) - ell * math.log(self._mean)
+            if not positive or (0 < ell < 1 and excess > 1e-12) or (ell > 1 and excess < -1e-12):
+                raise NoConvergence(
+                    f"moment series for ell={ell} stagnated at {mpm.nstr(value, 4)}, outside "
+                    f"Jensen's bound E[RV]^ell = {mpm.nstr(mpm.mpf(self._mean) ** ell, 4)}"
                 )
             self._hp_cache[ell] = (value, dps)
             return value

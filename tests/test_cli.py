@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ def test_price_validate_mc_columns(capsys):
     mc_se = float(rows[0][header.index("mc_se")])
     assert mc_se > 0
     assert abs(value - mc_mean) < 3.0 * mc_se
+
+
+def test_price_validate_mc_same_bytes_on_any_core_count(capsys):
+    # the Monte Carlo columns are a function of (seed, streams) alone
+    outs = []
+    for cores in (1, 4):
+        with mock.patch.object(mc.os, "cpu_count", return_value=cores):
+            code, out, err = run_cli(
+                capsys, "price", "--contract", "vol-swap", "--validate-mc", "2000",
+                "--streams", "3", "--format", "json",
+            )
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert "mc_mean" in json.loads(outs[0])
+    assert outs[0] == outs[1]
 
 
 def test_price_json_matches_csv_value(capsys):

@@ -1,5 +1,4 @@
 import math
-import os
 from unittest import mock
 
 import numpy as np
@@ -100,43 +99,6 @@ def test_stream_partition_statistically_consistent():
     assert abs(e1.mean - e4.mean) < 4.0 * math.hypot(e1.std_error, e4.std_error)
 
 
-def test_thread_cap_does_not_change_output():
-    params, schedule = _setup()
-    cfg = mc.McConfig(n_paths=8_000, seed=21, n_streams=4)
-    base = mc.simulate_rv(params, schedule, cfg)
-    with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": "1"}):
-        capped = mc.simulate_rv(params, schedule, cfg)
-    assert np.array_equal(base, capped)
-
-
-def test_thread_cap_validation():
-    params, schedule = _setup()
-    cfg = mc.McConfig(n_paths=100, seed=1, n_streams=2)
-    with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": "abc"}):
-        with pytest.raises(DomainError):
-            mc.simulate_rv(params, schedule, cfg)
-
-
-def test_max_workers_defaults_to_core_count():
-    with mock.patch.dict(os.environ, clear=False) as env:
-        env.pop("VOLSWAP_THREADS", None)
-        with mock.patch.object(mc.os, "cpu_count", return_value=2):
-            assert mc._max_workers(100_000) == 2
-            assert mc._max_workers(1) == 1
-        with mock.patch.object(mc.os, "cpu_count", return_value=None):
-            assert mc._max_workers(8) == 1
-    with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": "3"}):
-        assert mc._max_workers(100_000) == 3
-        assert mc._max_workers(2) == 2
-
-
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_thread_cap_below_one_rejected(cap):
-    with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": cap}):
-        with pytest.raises(DomainError):
-            mc._max_workers(4)
-
-
 class _SerialPool:
     """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
 
@@ -155,16 +117,34 @@ class _SerialPool:
         return map(fn, items)
 
 
+def test_thread_cap_does_not_change_output():
+    params, schedule = _setup()
+    cfg = mc.McConfig(n_paths=8_000, seed=21, n_streams=4)
+    base = mc.simulate_rv(params, schedule, cfg)
+    for cores in (1, 8):
+        with mock.patch.object(mc.os, "cpu_count", return_value=cores):
+            assert np.array_equal(mc.simulate_rv(params, schedule, cfg), base)
+
+
+def test_max_workers_defaults_to_core_count():
+    params, schedule = _setup(n_obs=3)
+    _SerialPool.sizes = []
+    with mock.patch.object(mc, "ThreadPoolExecutor", _SerialPool):
+        for cores, n_streams in ((2, 8), (2, 1), (None, 8)):
+            with mock.patch.object(mc.os, "cpu_count", return_value=cores):
+                cfg = mc.McConfig(n_paths=40, seed=4, n_streams=n_streams)
+                mc.simulate_rv(params, schedule, cfg)
+    assert _SerialPool.sizes == [2, 1, 1]
+
+
 def test_many_streams_ask_for_core_count_workers():
     params, schedule = _setup(n_obs=3)
     cfg = mc.McConfig(n_paths=40, seed=4, n_streams=20)
     base = mc.simulate_rv(params, schedule, cfg)
     _SerialPool.sizes = []
-    with mock.patch.dict(os.environ, clear=False) as env:
-        env.pop("VOLSWAP_THREADS", None)
-        with mock.patch.object(mc.os, "cpu_count", return_value=2), \
-                mock.patch.object(mc, "ThreadPoolExecutor", _SerialPool):
-            pooled = mc.simulate_rv(params, schedule, cfg)
+    with mock.patch.object(mc.os, "cpu_count", return_value=2), \
+            mock.patch.object(mc, "ThreadPoolExecutor", _SerialPool):
+        pooled = mc.simulate_rv(params, schedule, cfg)
     assert _SerialPool.sizes == [2]
     assert np.array_equal(base, pooled)
 
@@ -177,8 +157,8 @@ def test_uneven_partition(n_paths, n_streams):
     assert base.shape == (n_paths,)
     assert np.all(np.isfinite(base)) and np.all(base > 0)
     assert np.unique(base).size == n_paths
-    for cap in ("1", "2"):
-        with mock.patch.dict(os.environ, {"VOLSWAP_THREADS": cap}):
+    for cores in (1, 2, 8):
+        with mock.patch.object(mc.os, "cpu_count", return_value=cores):
             assert np.array_equal(mc.simulate_rv(params, schedule, cfg), base)
 
 

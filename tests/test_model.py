@@ -226,7 +226,6 @@ def test_nu_eta_and_sigma_n():
     _, _, rm = make_instance(n_obs=52)
     assert rm.nu == rm.eta == 51
     assert rm.sigma_N == pytest.approx(math.sqrt(rm.var_bar[-1]), rel=1e-15)
-    assert rm.n_obs == 52
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,31 @@ def test_moment_hp_refuses_at_the_coefficient_cap(monkeypatch):
         LaguerreMoments(rm).moment_hp(0.5, 60)
 
 
+@pytest.mark.parametrize("dps", [40, 60])
+def test_moment_hp_refuses_a_sum_past_jensens_bound(dps):
+    # here the series stagnates on cancellation noise (-1.2e129 at 40 digits,
+    # 2.9e110 at 60), while E[sqrt(RV)] <= sqrt(E[RV]) = 2.118
+    _, _, rm = make_instance(sigma=0.005, kappa=5.0, n_obs=52, independent_increments=True)
+    with pytest.raises(NoConvergence, match="outside Jensen's bound E\\[RV\\]\\^ell = 2.118"):
+        LaguerreMoments(rm).moment_hp(0.5, dps)
+
+
+@pytest.mark.parametrize("ell,scale,refused", [
+    (1.5, 1 - 1e-9, True), (1.5, 1 + 1e-9, False), (0.5, -1.0, True), (1.5, 0.0, True),
+])
+def test_moment_hp_jensen_bound_sides(monkeypatch, ell, scale, refused):
+    # above E[RV]^ell is allowed for ell > 1, below it is not; a moment is never <= 0
+    _, _, rm = make_instance(sigma=0.08, kappa=1.5, n_obs=52)
+    bound = options.mpm.mpf(rm.rv_mean()) ** ell
+    monkeypatch.setattr(rvdist, "raw_moment_hp", lambda *a: (bound * scale, True))
+    lm = LaguerreMoments(rm)
+    if refused:
+        with pytest.raises(NoConvergence, match="outside Jensen's bound"):
+            lm.moment_hp(ell, 40)
+    else:
+        assert lm.moment_hp(ell, 40) == bound * scale
+
+
 class _SlottedMoments:
     """A provider without a weak reference, so the pricer cannot keep its series."""
 
